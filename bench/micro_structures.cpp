@@ -242,6 +242,46 @@ void BM_TreeSlabAcquireReleaseAllocs(benchmark::State& state) {
 }
 BENCHMARK(BM_TreeSlabAcquireReleaseAllocs);
 
+void BM_TreeSlabRebuildAllocs(benchmark::State& state) {
+  // A build or a wake rebuilds a tree's topology into a recycled slot: the
+  // seeded 48-node build, then the replay of a grown image whose id space
+  // has dead ids (add-leaf + remove-leaf fillers).  The node array, child
+  // lists and port edge lists keep their capacity across release, so once
+  // the slot has held this shape the rebuild must not touch the allocator.
+  forest::TreeImage img;
+  img.total_ever = 48 + 24;
+  for (NodeId id = 48; id < img.total_ever; id += 3) {
+    img.grown.emplace_back(id, id % 48);  // 8 survivors, 16 dead ids
+  }
+  forest::TreeSlab slab;
+  std::uint32_t slot = slab.acquire();
+  const auto rebuild = [&] {
+    slab.release(slot);
+    slot = slab.acquire();
+    tree::DynamicTree& t = slab.at(slot).tree;
+    Rng build_rng(0x51ab51abULL);
+    forest::build_initial_topology(t, build_rng, 48);
+    forest::replay_grown_nodes(t, img);
+    return t.size();
+  };
+  for (int i = 0; i < 16; ++i) rebuild();  // warm up: size the slot
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  std::uint64_t ops = 0;
+  std::uint64_t sink = 0;
+  for (auto _ : state) {
+    sink += rebuild();
+    ++ops;
+  }
+  benchmark::DoNotOptimize(sink);
+  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  const double per_op =
+      ops ? static_cast<double>(after - before) / static_cast<double>(ops) : 0;
+  state.counters["allocs_per_op"] = per_op;
+  check_steady_state_allocs("TreeSlab release/acquire + topology rebuild",
+                            per_op);
+}
+BENCHMARK(BM_TreeSlabRebuildAllocs);
+
 void BM_HibernateEncodeAllocs(benchmark::State& state) {
   // Hibernating a tree encodes its TreeImage into a recycled byte buffer
   // (the frozen-slot free list hands the last Encoded back to BitWriter's

@@ -1,6 +1,7 @@
 #include "core/package.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
@@ -16,10 +17,9 @@ PackageId PackageTable::create_mobile(NodeId host, std::uint32_t level,
                                       std::uint64_t size, Interval serials) {
   DYNCON_REQUIRE(serials.empty() || serials.size() == size,
                  "serial interval size must match package size");
-  const PackageId id = packages_.size();
-  packages_.push_back(
-      Package{id, PackageKind::kMobile, host, size, level, serials, true});
-  attach(id, host);
+  const PackageId id =
+      mint(Package{kNoPackage, PackageKind::kMobile, host, size, level,
+                   serials, true});
   static thread_local obs::CounterHandle created("package.created");
   created.add();
   return id;
@@ -30,19 +30,13 @@ PackageId PackageTable::create_static(NodeId host, std::uint64_t size,
   DYNCON_REQUIRE(size >= 1, "static package must hold >= 1 permit");
   DYNCON_REQUIRE(serials.empty() || serials.size() == size,
                  "serial interval size must match package size");
-  const PackageId id = packages_.size();
-  packages_.push_back(
-      Package{id, PackageKind::kStatic, host, size, 0, serials, true});
-  attach(id, host);
-  return id;
+  return mint(
+      Package{kNoPackage, PackageKind::kStatic, host, size, 0, serials, true});
 }
 
 PackageId PackageTable::create_reject(NodeId host) {
-  const PackageId id = packages_.size();
-  packages_.push_back(
-      Package{id, PackageKind::kReject, host, 0, 0, Interval{}, true});
-  attach(id, host);
-  return id;
+  return mint(
+      Package{kNoPackage, PackageKind::kReject, host, 0, 0, Interval{}, true});
 }
 
 void PackageTable::move(PackageId p, NodeId new_host, std::uint64_t hops) {
@@ -90,17 +84,19 @@ std::size_t PackageTable::move_all(NodeId node, NodeId parent) {
 }
 
 std::pair<PackageId, PackageId> PackageTable::split_mobile(PackageId p) {
-  const Package pkg = get(p);  // copy before cancel
+  const Package pkg = get(p);  // copy: minting may move the table
   DYNCON_REQUIRE(pkg.kind == PackageKind::kMobile, "split of non-mobile");
   DYNCON_REQUIRE(pkg.level >= 1, "split of level-0 package");
   DYNCON_INVARIANT(pkg.size % 2 == 0, "mobile size not even");
   Interval lo, hi;
   if (!pkg.serials.empty()) std::tie(lo, hi) = pkg.serials.split_half();
-  cancel(p);
+  // Both halves are minted before the original dies, so neither reuses
+  // its id: a caller still holding `p` sees it dead, not reborn.
   const PackageId a =
       create_mobile(pkg.host, pkg.level - 1, pkg.size / 2, lo);
   const PackageId b =
       create_mobile(pkg.host, pkg.level - 1, pkg.size / 2, hi);
+  cancel(p);
   static thread_local obs::CounterHandle splits("package.splits");
   splits.add();
   obs::emit(obs::TraceEvent{obs::EventKind::kPackageSplit, 0, pkg.host,
@@ -130,6 +126,8 @@ void PackageTable::cancel(PackageId p) {
   Package& pkg = mut(p);
   detach(p);
   pkg.alive = false;
+  free_ids_.push_back(p);
+  std::push_heap(free_ids_.begin(), free_ids_.end(), std::greater<>{});
 }
 
 bool PackageTable::alive(PackageId p) const {
@@ -223,7 +221,8 @@ void PackageTable::extract_image(Image& out) const {
 }
 
 void PackageTable::restore_image(const Image& img) {
-  DYNCON_REQUIRE(packages_.empty() && by_host_.empty() && moves_ == 0,
+  DYNCON_REQUIRE(packages_.empty() && by_host_.empty() && moves_ == 0 &&
+                     free_ids_.empty(),
                  "restore_image into a non-fresh table");
   packages_.assign(static_cast<std::size_t>(img.next_id), Package{});
   for (const Record& rec : img.alive) {
@@ -234,17 +233,36 @@ void PackageTable::restore_image(const Image& img) {
                   Interval{}, true};
     by_host_[rec.host].push_back(rec.id);
   }
+  // The dead ids below the high-water mark, ascending: already a min-heap.
+  for (PackageId id = 0; id < img.next_id; ++id) {
+    if (!packages_[static_cast<std::size_t>(id)].alive) free_ids_.push_back(id);
+  }
   moves_ = img.moves;
 }
 
 std::uint64_t PackageTable::approx_bytes() const {
-  std::uint64_t bytes = packages_.capacity() * sizeof(Package);
+  std::uint64_t bytes = packages_.capacity() * sizeof(Package) +
+                        free_ids_.capacity() * sizeof(PackageId);
   bytes += by_host_.bucket_count() * sizeof(void*);
   for (const auto& [host, pkgs] : by_host_) {
     bytes += sizeof(NodeId) + sizeof(std::vector<PackageId>) + 16;
     bytes += pkgs.capacity() * sizeof(PackageId);
   }
   return bytes;
+}
+
+PackageId PackageTable::mint(Package pkg) {
+  if (free_ids_.empty()) {
+    pkg.id = packages_.size();
+    packages_.push_back(pkg);
+  } else {
+    std::pop_heap(free_ids_.begin(), free_ids_.end(), std::greater<>{});
+    pkg.id = free_ids_.back();
+    free_ids_.pop_back();
+    packages_[static_cast<std::size_t>(pkg.id)] = pkg;
+  }
+  attach(pkg.id, pkg.host);
+  return pkg.id;
 }
 
 void PackageTable::attach(PackageId p, NodeId host) {

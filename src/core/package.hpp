@@ -132,8 +132,10 @@ class PackageTable {
   /// A complete, order-preserving snapshot of the table: `alive` lists
   /// packages grouped by host in ascending host order, preserving each
   /// host's whiteboard order (which find_static / find_mobile_of_level scan
-  /// positionally, so it is semantically load-bearing).  `next_id` keeps
-  /// the never-reused id space advancing across a hibernate cycle.
+  /// positionally, so it is semantically load-bearing).  `next_id` is the
+  /// id high-water mark: the ids below it that no alive record holds are
+  /// the free ids, so a restored table mints the same ids as one that
+  /// never hibernated.
   struct Image {
     std::uint64_t next_id = 0;
     std::uint64_t moves = 0;
@@ -166,10 +168,18 @@ class PackageTable {
 
  private:
   Package& mut(PackageId p);
+  /// Store `pkg` under the lowest free id (or a new one) and host it.
+  PackageId mint(Package pkg);
   void attach(PackageId p, NodeId host);
   void detach(PackageId p);
 
+  /// Indexed by id.  A cancelled package's slot is reused: create_* mints
+  /// the lowest dead id (free_ids_ is a min-heap of them), so the table is
+  /// as large as the most packages ever alive at once, not the count ever
+  /// created, and ids are a function of the live set and the high-water
+  /// mark alone.
   std::vector<Package> packages_;
+  std::vector<PackageId> free_ids_;
   std::unordered_map<NodeId, std::vector<PackageId>> by_host_;
   std::uint64_t moves_ = 0;
 };

@@ -9,9 +9,11 @@
 // resident.  Slots live in fixed-size chunks with stable addresses
 // (CentralizedController holds a reference to its tree and is neither
 // copyable nor movable, so slot memory must never move), and releasing a
-// slot recycles it in place: the node array and port tables keep their
-// capacity, so an acquire/release cycle in steady state allocates nothing
-// (bench/micro_structures BM_TreeSlabAcquireReleaseAllocs gates this).
+// slot recycles it in place: the node array, every child list and every
+// port edge list keep their capacity.  In steady state neither an
+// acquire/release cycle nor the topology rebuild a build or a wake runs
+// into the slot allocates (bench/micro_structures gates both:
+// BM_TreeSlabAcquireReleaseAllocs and BM_TreeSlabRebuildAllocs).
 
 #include <array>
 #include <cstdint>
@@ -57,9 +59,10 @@ class TreeSlab {
   }
 
   /// Return a slot to the free list, resetting its contents in place.  The
-  /// tree's node/port storage and the grown vector keep their capacity —
-  /// that retained capacity is bounded by the residency budget times the
-  /// per-tree cap, and it is what makes the cycle allocation-free.
+  /// tree's node, child-list and port storage and the grown vector keep
+  /// their capacity — that retained capacity is bounded by the residency
+  /// budget times the per-tree cap, and it is what makes the cycle and the
+  /// next rebuild allocation-free.
   void release(std::uint32_t slot) {
     DYNCON_REQUIRE(slot < in_use_.size() && in_use_[slot] != 0,
                    "release of a slot not in use");

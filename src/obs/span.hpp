@@ -23,7 +23,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
+#include <unordered_map>
 
 #include "obs/json.hpp"
 #include "util/ids.hpp"
@@ -106,7 +106,7 @@ class SpanSink {
  private:
   std::size_t capacity_;
   std::deque<Span> ring_;
-  std::map<TraceId, std::uint32_t> next_id_;
+  std::unordered_map<TraceId, std::uint32_t> next_id_;
   TraceId next_trace_ = kMintedTraceBase;
   std::uint64_t recorded_ = 0;
   std::uint64_t overwritten_ = 0;

@@ -1,5 +1,6 @@
 #include "sim/wire.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <ostream>
 #include <sstream>
@@ -52,8 +53,17 @@ void BitWriter::put_bits(std::uint64_t value, std::uint32_t width) {
   DYNCON_REQUIRE(width <= 64, "bit-field width exceeds 64");
   DYNCON_REQUIRE(width == 64 || value < (std::uint64_t{1} << width),
                  "value does not fit the declared bit-field width");
-  for (std::uint32_t i = width; i-- > 0;) {
-    put_bit((value >> i) & 1u);
+  // Fill the open byte's free low bits, then whole bytes, high bits first.
+  while (width > 0) {
+    const auto offset = static_cast<std::uint32_t>(out_.bits % 8);
+    if (offset == 0) out_.bytes.push_back(0);
+    const std::uint32_t room = 8 - offset;
+    const std::uint32_t take = width < room ? width : room;
+    width -= take;
+    const auto chunk =
+        static_cast<std::uint32_t>(value >> width) & ((1u << take) - 1);
+    out_.bytes.back() |= static_cast<std::uint8_t>(chunk << (room - take));
+    out_.bits += take;
   }
 }
 
@@ -61,24 +71,25 @@ void BitWriter::put_gamma(std::uint64_t v) {
   DYNCON_REQUIRE(v < (std::uint64_t{1} << 62), "gamma field overflow");
   const std::uint64_t n = v + 1;
   const std::uint32_t len = floor_log2(n);
-  for (std::uint32_t i = 0; i < len; ++i) put_bit(false);
+  pad_zeros(len);
   put_bits(n, len + 1);
 }
 
 void BitWriter::put_varint(std::uint64_t v) {
   // High 7-bit groups first; every group but the last sets the
-  // continuation bit.
+  // continuation bit (the group's leading bit).
   std::uint32_t groups = 1;
   for (std::uint64_t rest = v >> 7; rest != 0; rest >>= 7) ++groups;
   for (std::uint32_t g = groups; g-- > 0;) {
     const std::uint64_t chunk = (v >> (7 * g)) & 0x7Fu;
-    put_bit(g != 0);  // continuation
-    put_bits(chunk, 7);
+    put_bits((g != 0 ? 0x80u : 0u) | chunk, 8);
   }
 }
 
 void BitWriter::pad_zeros(std::uint64_t n) {
-  for (std::uint64_t i = 0; i < n; ++i) put_bit(false);
+  // Unused trailing bits are already zero, so zeros cost only new bytes.
+  out_.bits += n;
+  out_.bytes.resize(static_cast<std::size_t>((out_.bits + 7) / 8), 0);
 }
 
 void BitWriter::put_encoded(const Encoded& src) {
@@ -106,33 +117,52 @@ bool BitReader::get_bit() {
 
 std::uint64_t BitReader::get_bits(std::uint32_t width) {
   DYNCON_REQUIRE(width <= 64, "bit-field width exceeds 64");
+  DYNCON_REQUIRE(width <= remaining(),
+                 "wire underrun: read past end of message");
+  // Up to 8 bits per step: the rest of the current byte, then whole bytes.
   std::uint64_t v = 0;
-  for (std::uint32_t i = 0; i < width; ++i) {
-    v = (v << 1) | static_cast<std::uint64_t>(get_bit());
+  while (width > 0) {
+    const auto offset = static_cast<std::uint32_t>(pos_ % 8);
+    const std::uint32_t room = 8 - offset;
+    const std::uint32_t take = width < room ? width : room;
+    const std::uint32_t byte = enc_.bytes[pos_ / 8];
+    v = (v << take) | ((byte >> (room - take)) & ((1u << take) - 1));
+    pos_ += take;
+    width -= take;
   }
   return v;
 }
 
 std::uint64_t BitReader::get_gamma() {
+  // Count the zero prefix a byte at a time; a gamma code never has 63 or
+  // more leading zeros, and running out of bits first is an underrun.
   std::uint32_t len = 0;
-  while (!get_bit()) {
-    ++len;
+  for (;;) {
+    DYNCON_REQUIRE(pos_ < enc_.bits,
+                   "wire underrun: read past end of message");
+    const auto offset = static_cast<std::uint32_t>(pos_ % 8);
+    const auto avail = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(8 - offset, remaining()));
+    const auto next =
+        static_cast<std::uint8_t>(enc_.bytes[pos_ / 8] << offset);
+    const auto zeros = std::min(
+        static_cast<std::uint32_t>(std::countl_zero(next)), avail);
+    len += zeros;
     DYNCON_REQUIRE(len < 63, "malformed gamma code: runaway zero prefix");
+    pos_ += zeros;
+    if (zeros < avail) break;
   }
-  std::uint64_t n = 1;
-  for (std::uint32_t i = 0; i < len; ++i) {
-    n = (n << 1) | static_cast<std::uint64_t>(get_bit());
-  }
-  return n - 1;
+  ++pos_;  // the terminating one bit is the value's leading bit
+  return ((std::uint64_t{1} << len) | get_bits(len)) - 1;
 }
 
 std::uint64_t BitReader::get_varint() {
   std::uint64_t v = 0;
   for (std::uint32_t groups = 0;; ++groups) {
     DYNCON_REQUIRE(groups < 10, "malformed varint: too many groups");
-    const bool more = get_bit();
-    v = (v << 7) | get_bits(7);
-    if (!more) return v;
+    const std::uint64_t group = get_bits(8);  // continuation bit + 7 bits
+    v = (v << 7) | (group & 0x7Fu);
+    if ((group & 0x80u) == 0) return v;
   }
 }
 

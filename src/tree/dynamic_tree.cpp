@@ -7,7 +7,7 @@
 namespace dyncon::tree {
 
 DynamicTree::DynamicTree(PortAssigner ports) : ports_(std::move(ports)) {
-  nodes_.push_back(Node{});  // the root, id 0
+  new_node(kNoNode);  // the root, id 0
   alive_count_ = 1;
 }
 
@@ -22,6 +22,7 @@ DynamicTree DynamicTree::from_structure(
   // Lay out the id space: everything starts dead, then the listed nodes
   // come alive with their parents.
   t.nodes_.assign(static_cast<std::size_t>(max_id) + 1, Node{});
+  t.count_ = t.nodes_.size();
   for (auto& n : t.nodes_) n.alive = false;
   t.alive_count_ = 0;
   bool saw_root = false;
@@ -65,17 +66,17 @@ DynamicTree DynamicTree::from_structure(
 }
 
 const DynamicTree::Node& DynamicTree::node(NodeId v) const {
-  DYNCON_REQUIRE(v < nodes_.size(), "unknown node id");
+  DYNCON_REQUIRE(v < count_, "unknown node id");
   return nodes_[static_cast<std::size_t>(v)];
 }
 
 DynamicTree::Node& DynamicTree::node(NodeId v) {
-  DYNCON_REQUIRE(v < nodes_.size(), "unknown node id");
+  DYNCON_REQUIRE(v < count_, "unknown node id");
   return nodes_[static_cast<std::size_t>(v)];
 }
 
 bool DynamicTree::alive(NodeId v) const {
-  return v < nodes_.size() && nodes_[static_cast<std::size_t>(v)].alive;
+  return v < count_ && nodes_[static_cast<std::size_t>(v)].alive;
 }
 
 NodeId DynamicTree::parent(NodeId v) const {
@@ -98,7 +99,7 @@ std::uint64_t DynamicTree::depth(NodeId v) const {
   std::uint64_t d = 0;
   for (NodeId cur = v; cur != root_; cur = node(cur).parent) {
     ++d;
-    DYNCON_INVARIANT(d <= nodes_.size(), "cycle in parent chain");
+    DYNCON_INVARIANT(d <= count_, "cycle in parent chain");
   }
   return d;
 }
@@ -134,10 +135,18 @@ std::vector<NodeId> DynamicTree::alive_nodes() const {
   return out;
 }
 
+NodeId DynamicTree::new_node(NodeId parent) {
+  if (count_ == nodes_.size()) nodes_.emplace_back();
+  Node& n = nodes_[count_];
+  n.parent = parent;
+  n.children.clear();
+  n.alive = true;
+  return count_++;
+}
+
 NodeId DynamicTree::add_leaf(NodeId p) {
   DYNCON_REQUIRE(alive(p), "add_leaf: parent not alive");
-  const NodeId u = nodes_.size();
-  nodes_.push_back(Node{p, {}, true});
+  const NodeId u = new_node(p);
   node(p).children.push_back(u);
   ++alive_count_;
   ports_.attach(p, u);
@@ -170,8 +179,8 @@ NodeId DynamicTree::add_internal_above(NodeId child) {
   DYNCON_REQUIRE(alive(child), "add_internal_above: child not alive");
   DYNCON_REQUIRE(child != root_, "cannot insert above the root");
   const NodeId p = node(child).parent;
-  const NodeId u = nodes_.size();
-  nodes_.push_back(Node{p, {child}, true});
+  const NodeId u = new_node(p);
+  node(u).children.push_back(child);
   // Replace `child` by `u` in p's child list (preserving position).
   Node& pn = node(p);
   auto it = std::find(pn.children.begin(), pn.children.end(), child);
@@ -226,16 +235,11 @@ void DynamicTree::reserve_nodes(std::size_t n) {
   ports_.reserve_nodes(n);
 }
 
-void DynamicTree::shrink_to_fit() {
-  nodes_.shrink_to_fit();
-  ports_.shrink_to_fit();
-}
-
 void DynamicTree::reset_to_root() {
   DYNCON_REQUIRE(observers_.empty(),
                  "reset_to_root with observers still registered");
-  nodes_.clear();
-  nodes_.push_back(Node{});
+  count_ = 0;
+  new_node(kNoNode);
   alive_count_ = 1;
   ports_.reset();
 }

@@ -63,7 +63,7 @@ class DynamicTree {
   [[nodiscard]] bool is_leaf(NodeId v) const;
   [[nodiscard]] std::uint64_t size() const { return alive_count_; }
   /// Nodes ever created, including deleted ones (the paper's U-quantity).
-  [[nodiscard]] std::uint64_t total_ever() const { return nodes_.size(); }
+  [[nodiscard]] std::uint64_t total_ever() const { return count_; }
 
   /// Hop distance from v to the root (walks the parent chain; O(depth)).
   [[nodiscard]] std::uint64_t depth(NodeId v) const;
@@ -106,18 +106,17 @@ class DynamicTree {
   /// when the final size is known, e.g. a forest tree's initial build).
   void reserve_nodes(std::size_t n);
 
-  /// Trim node/port storage capacity to size — the small-tree common case
-  /// pays for exactly the nodes it has.
-  void shrink_to_fit();
-
   /// Rewind to the single-root state of a freshly constructed tree while
-  /// keeping `nodes_` / port-table capacity (slab-recycled trees rebuild
-  /// into the same storage without reallocating it).  Requires that no
-  /// observers are registered: a recycled identity would dangle them.
+  /// keeping all node storage: the node array, every node's child list
+  /// (the root's included) and every port edge list keep their capacity,
+  /// so a slab-recycled tree rebuilds into the same storage without
+  /// allocating.  Requires that no observers are registered: a recycled
+  /// identity would dangle them.
   void reset_to_root();
 
-  /// Rough heap footprint in bytes (node array, child lists, port tables);
-  /// an accounting estimate for `perf.mem.*`, not an allocator truth.
+  /// Rough heap footprint in bytes (node array, child lists, port tables),
+  /// retained capacity included; an accounting estimate for `perf.mem.*`,
+  /// not an allocator truth.
   [[nodiscard]] std::uint64_t approx_bytes() const;
 
   // ---- observers -----------------------------------------------------------
@@ -134,9 +133,15 @@ class DynamicTree {
 
   [[nodiscard]] const Node& node(NodeId v) const;
   [[nodiscard]] Node& node(NodeId v);
+  /// Mint the next id as an alive, childless node under `parent`, reusing
+  /// a recycled slot's child-list capacity when one is left.
+  NodeId new_node(NodeId parent);
   void detach_from_parent(NodeId v);
 
+  /// Ids [0, count_) are this tree's nodes; slots past count_ are left over
+  /// from before the last reset_to_root() and only lend their storage.
   std::vector<Node> nodes_;
+  std::size_t count_ = 0;
   NodeId root_ = 0;
   std::uint64_t alive_count_ = 0;
   PortAssigner ports_;

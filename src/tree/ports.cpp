@@ -1,80 +1,87 @@
 #include "tree/ports.hpp"
 
+#include <algorithm>
+
 #include "util/error.hpp"
 
 namespace dyncon::tree {
 
 void PortAssigner::reset() {
-  tables_.clear();
+  for (std::size_t i = 0; i < used_; ++i) tables_[i].clear();
+  used_ = 0;
   rng_ = Rng(seed_);
 }
 
 std::uint64_t PortAssigner::approx_bytes() const {
   std::uint64_t bytes = tables_.capacity() * sizeof(Table);
-  for (const Table& t : tables_) {
-    // Per map: one pointer-ish slot per bucket plus a node per element
-    // (key/value pair and two link/hash words) — libstdc++-shaped estimate.
-    bytes += (t.by_port.bucket_count() + t.by_neighbor.bucket_count()) *
-             sizeof(void*);
-    bytes += t.by_port.size() * (sizeof(PortId) + sizeof(NodeId) + 16);
-    bytes += t.by_neighbor.size() * (sizeof(NodeId) + sizeof(PortId) + 16);
-  }
+  for (const Table& t : tables_) bytes += t.capacity() * sizeof(Edge);
   return bytes;
 }
 
+const PortAssigner::Edge* PortAssigner::find_neighbor(const Table& t,
+                                                      NodeId neighbor) {
+  for (const Edge& e : t) {
+    if (e.neighbor == neighbor) return &e;
+  }
+  return nullptr;
+}
+
 PortId PortAssigner::attach(NodeId node, NodeId neighbor) {
-  if (node >= tables_.size()) tables_.resize(node + 1);
+  if (node >= used_) {
+    used_ = static_cast<std::size_t>(node) + 1;
+    if (used_ > tables_.size()) tables_.resize(used_);
+  }
   Table& t = tables_[node];
-  DYNCON_REQUIRE(!t.by_neighbor.contains(neighbor),
+  DYNCON_REQUIRE(find_neighbor(t, neighbor) == nullptr,
                  "port to this neighbor already exists");
   // Adversarial-looking port id; retry on the (rare) per-node collision.
   PortId p;
   do {
     p = rng_.next();
-  } while (t.by_port.contains(p));
-  t.by_port.emplace(p, neighbor);
-  t.by_neighbor.emplace(neighbor, p);
+  } while (std::any_of(t.begin(), t.end(),
+                       [p](const Edge& e) { return e.port == p; }));
+  t.push_back(Edge{neighbor, p});
   return p;
 }
 
 void PortAssigner::detach(NodeId node, NodeId neighbor) {
-  Table* t = table(node);
-  if (t == nullptr) return;
-  auto nit = t->by_neighbor.find(neighbor);
-  if (nit == t->by_neighbor.end()) return;
-  t->by_port.erase(nit->second);
-  t->by_neighbor.erase(nit);
+  if (node >= used_) return;
+  std::erase_if(tables_[node],
+                [neighbor](const Edge& e) { return e.neighbor == neighbor; });
 }
 
 void PortAssigner::drop_node(NodeId node) {
-  // Ids are permanent, so the slot never comes back: release its storage.
-  if (Table* t = table(node)) *t = Table{};
+  // Ids are never reused within a build; the list keeps its capacity for
+  // the node that takes this id after the next reset().
+  if (node < used_) tables_[node].clear();
 }
 
 bool PortAssigner::has_port(NodeId node, NodeId neighbor) const {
   const Table* t = table(node);
-  return t != nullptr && t->by_neighbor.contains(neighbor);
+  return t != nullptr && find_neighbor(*t, neighbor) != nullptr;
 }
 
 PortId PortAssigner::port_to(NodeId node, NodeId neighbor) const {
   const Table* t = table(node);
   DYNCON_REQUIRE(t != nullptr, "node has no ports");
-  auto nit = t->by_neighbor.find(neighbor);
-  DYNCON_REQUIRE(nit != t->by_neighbor.end(), "no port to neighbor");
-  return nit->second;
+  const Edge* e = find_neighbor(*t, neighbor);
+  DYNCON_REQUIRE(e != nullptr, "no port to neighbor");
+  return e->port;
 }
 
 NodeId PortAssigner::neighbor_at(NodeId node, PortId port) const {
   const Table* t = table(node);
   DYNCON_REQUIRE(t != nullptr, "node has no ports");
-  auto pit = t->by_port.find(port);
-  DYNCON_REQUIRE(pit != t->by_port.end(), "no such port");
-  return pit->second;
+  const auto it =
+      std::find_if(t->begin(), t->end(),
+                   [port](const Edge& e) { return e.port == port; });
+  DYNCON_REQUIRE(it != t->end(), "no such port");
+  return it->neighbor;
 }
 
 std::size_t PortAssigner::degree(NodeId node) const {
   const Table* t = table(node);
-  return t == nullptr ? 0 : t->by_port.size();
+  return t == nullptr ? 0 : t->size();
 }
 
 }  // namespace dyncon::tree

@@ -8,9 +8,16 @@
 // The assigner hands out arbitrary-looking (but deterministic) port numbers
 // that are unique per node; nothing in the protocols may rely on ports being
 // small or consecutive, and tests assert per-node uniqueness.
+//
+// It is a model assumption, not protocol state: no protocol reads a port,
+// only tree::validate and the tests do.  So storage is built for the
+// writers (every tree build and wake attaches each edge twice), and a
+// lookup is a linear scan of one node's edges, as many as its degree.
+// attach() scans too (the collision retry), so building a star of n nodes
+// costs O(n^2) comparisons: cheap for the trees the benches and tests
+// grow, but not for a root with 10^5 children.
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "util/ids.hpp"
@@ -18,25 +25,22 @@
 
 namespace dyncon::tree {
 
-/// Per-node port table: port -> neighbor and neighbor -> port.
+/// Per-node port table: a flat list of (neighbor, port) edges per node.
 class PortAssigner {
  public:
   explicit PortAssigner(std::uint64_t seed = 0xdecafbadULL)
       : rng_(seed), seed_(seed) {}
 
   /// Forget every port and rewind the adversary to its construction seed,
-  /// keeping the outer table array's capacity (slab-recycled trees reuse
-  /// it).  Equivalent to `*this = PortAssigner(seed)` minus the free.
+  /// keeping every edge list's capacity (slab-recycled trees rebuild into
+  /// it without allocating).  Otherwise `*this = PortAssigner(seed)`.
   void reset();
 
   /// Reserve outer-table capacity for `nodes` node ids.
   void reserve_nodes(std::size_t nodes) { tables_.reserve(nodes); }
 
-  /// Trim outer-table capacity to size (small-tree common case).
-  void shrink_to_fit() { tables_.shrink_to_fit(); }
-
-  /// Rough heap footprint in bytes (tables plus hash-map nodes/buckets);
-  /// an accounting estimate for `perf.mem.*`, not an allocator truth.
+  /// Rough heap footprint in bytes (edge lists and the table array); an
+  /// accounting estimate for `perf.mem.*`, not an allocator truth.
   [[nodiscard]] std::uint64_t approx_bytes() const;
 
   /// Assign a fresh port at `node` leading to `neighbor`.
@@ -54,24 +58,26 @@ class PortAssigner {
   [[nodiscard]] std::size_t degree(NodeId node) const;
 
  private:
-  struct Table {
-    std::unordered_map<PortId, NodeId> by_port;
-    std::unordered_map<NodeId, PortId> by_neighbor;
+  struct Edge {
+    NodeId neighbor;
+    PortId port;
   };
+  using Table = std::vector<Edge>;
+
   /// Indexed by NodeId — node ids are dense (DynamicTree allocates them
-  /// sequentially and never reuses them), so the per-node table is two
-  /// array loads instead of a hash probe, and growing the topology never
-  /// rehashes an outer map that is thousands of nodes wide.
+  /// sequentially and never reuses them within one build).  Only the first
+  /// `used_` tables belong to the current build; the rest are kept empty
+  /// with their capacity for the next build after a reset().
   std::vector<Table> tables_;
+  std::size_t used_ = 0;
   Rng rng_;
   std::uint64_t seed_;
 
-  Table* table(NodeId node) {
-    return node < tables_.size() ? &tables_[node] : nullptr;
-  }
   [[nodiscard]] const Table* table(NodeId node) const {
-    return node < tables_.size() ? &tables_[node] : nullptr;
+    return node < used_ ? &tables_[node] : nullptr;
   }
+  [[nodiscard]] static const Edge* find_neighbor(const Table& t,
+                                                 NodeId neighbor);
 };
 
 }  // namespace dyncon::tree

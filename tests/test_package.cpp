@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/package.hpp"
 
 namespace dyncon::core {
@@ -127,6 +129,59 @@ TEST(PackageTable, SerialSizeMismatchRejected) {
   PackageTable t;
   EXPECT_THROW(t.create_mobile(1, 1, 2, Interval(1, 5)), ContractError);
   EXPECT_THROW(t.create_static(1, 2, Interval(1, 5)), ContractError);
+}
+
+TEST(PackageTable, CancelledIdsAreRecycledLowestFirst) {
+  PackageTable t;
+  for (int i = 0; i < 6; ++i) t.create_static(1, 1);  // ids 0..5
+  t.cancel(4);
+  t.cancel(1);
+  t.cancel(3);
+  // The lowest dead id first, whatever order the cancels came in.
+  EXPECT_EQ(t.create_reject(2), 1u);
+  EXPECT_EQ(t.create_mobile(2, 0, 1), 3u);
+  EXPECT_EQ(t.create_static(2, 1), 4u);
+  EXPECT_EQ(t.create_static(2, 1), 6u);  // none dead: a fresh id
+  EXPECT_EQ(t.get(1).kind, PackageKind::kReject);
+  EXPECT_EQ(t.get(1).host, 2u);
+  // A reused slot joins its host's whiteboard at the end, like any new one.
+  const std::vector<PackageId> want{1, 3, 4, 6};
+  EXPECT_EQ(t.at(2), want);
+  EXPECT_EQ(t.all_alive().size(), 7u);
+}
+
+TEST(PackageTable, SplitNeverHandsOutTheParentId) {
+  PackageTable t;
+  t.create_static(5, 1);  // id 0
+  t.cancel(0);            // 0 is free
+  const PackageId m = t.create_mobile(7, 2, 8);
+  EXPECT_EQ(m, 0u);
+  auto [a, b] = t.split_mobile(m);
+  // The halves take fresh ids; the parent's id is freed only afterwards.
+  EXPECT_NE(a, m);
+  EXPECT_NE(b, m);
+  EXPECT_FALSE(t.alive(m));
+  EXPECT_EQ(t.create_reject(7), m);
+}
+
+TEST(PackageTable, RestoredTableMintsTheSameIds) {
+  // A table woken from its image holds the same free ids as the original,
+  // so both mint the same ids from then on.
+  PackageTable orig;
+  for (int i = 0; i < 8; ++i) orig.create_static(static_cast<NodeId>(i % 3), 2);
+  orig.cancel(6);
+  orig.cancel(2);
+  orig.cancel(5);
+  PackageTable::Image img;
+  orig.extract_image(img);
+  EXPECT_EQ(img.next_id, 8u);
+  PackageTable woken;
+  woken.restore_image(img);
+  for (int i = 0; i < 5; ++i) {
+    const PackageId a = orig.create_mobile(1, 0, 1);
+    EXPECT_EQ(woken.create_mobile(1, 0, 1), a) << i;
+  }
+  EXPECT_EQ(orig.all_alive(), woken.all_alive());
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <bit>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "sim/network.hpp"
@@ -94,6 +95,228 @@ TEST(BitStream, MalformedGammaPrefixThrows) {
   const Encoded e = w.finish();
   BitReader r(e);
   EXPECT_THROW((void)r.get_gamma(), ContractError);
+}
+
+// Reference codec, one bit per step: the byte-chunked BitWriter must
+// match it byte for byte on every field.
+struct SerialWriter {
+  Encoded out;
+  void put_bit(bool b) {
+    if (out.bits % 8 == 0) out.bytes.push_back(0);
+    if (b) {
+      out.bytes.back() |= static_cast<std::uint8_t>(0x80u >> (out.bits % 8));
+    }
+    ++out.bits;
+  }
+  void put_bits(std::uint64_t v, std::uint32_t width) {
+    for (std::uint32_t i = width; i-- > 0;) put_bit((v >> i) & 1u);
+  }
+  void pad_zeros(std::uint64_t n) {
+    for (std::uint64_t i = 0; i < n; ++i) put_bit(false);
+  }
+  void put_gamma(std::uint64_t v) {
+    pad_zeros(floor_log2(v + 1));
+    put_bits(v + 1, floor_log2(v + 1) + 1);
+  }
+  void put_varint(std::uint64_t v) {
+    std::uint32_t groups = 1;
+    for (std::uint64_t rest = v >> 7; rest != 0; rest >>= 7) ++groups;
+    for (std::uint32_t g = groups; g-- > 0;) {
+      put_bit(g != 0);
+      put_bits((v >> (7 * g)) & 0x7Fu, 7);
+    }
+  }
+};
+
+enum class FieldKind { kBit, kBits, kGamma, kVarint, kZeros };
+struct Field {
+  FieldKind kind = FieldKind::kBit;
+  std::uint64_t value = 0;
+  std::uint32_t width = 0;  // kBits only
+};
+
+template <class W>
+void write_fields(W& w, const std::vector<Field>& fields) {
+  for (const Field& f : fields) {
+    switch (f.kind) {
+      case FieldKind::kBit: w.put_bit(f.value != 0); break;
+      case FieldKind::kBits: w.put_bits(f.value, f.width); break;
+      case FieldKind::kGamma: w.put_gamma(f.value); break;
+      case FieldKind::kVarint: w.put_varint(f.value); break;
+      case FieldKind::kZeros: w.pad_zeros(f.value); break;
+    }
+  }
+}
+
+// Writes `fields` through both writers, checks the bytes agree, and reads
+// every field back.
+void expect_chunked_matches_serial(const std::vector<Field>& fields) {
+  SerialWriter ref;
+  write_fields(ref, fields);
+  BitWriter w;
+  write_fields(w, fields);
+  const Encoded e = w.finish();
+  ASSERT_EQ(e, ref.out);
+  BitReader r(e);
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    const Field& f = fields[i];
+    switch (f.kind) {
+      case FieldKind::kBit: ASSERT_EQ(r.get_bit(), f.value != 0) << i; break;
+      case FieldKind::kBits:
+        ASSERT_EQ(r.get_bits(f.width), f.value) << i;
+        break;
+      case FieldKind::kGamma: ASSERT_EQ(r.get_gamma(), f.value) << i; break;
+      case FieldKind::kVarint: ASSERT_EQ(r.get_varint(), f.value) << i; break;
+      case FieldKind::kZeros:
+        for (std::uint64_t k = 0; k < f.value; ++k) ASSERT_FALSE(r.get_bit());
+        break;
+    }
+  }
+  EXPECT_TRUE(r.finished());
+}
+
+// A kBits field of `width` random bits.
+Field random_bits(Rng& rng, std::uint32_t width) {
+  return {FieldKind::kBits, width == 0 ? 0 : rng.next() >> (64 - width),
+          width};
+}
+
+// A random value whose bit width is uniform in [0, max_width].
+std::uint64_t random_value(Rng& rng, std::uint32_t max_width) {
+  const auto width = static_cast<std::uint32_t>(rng.index(max_width + 1));
+  return random_bits(rng, width).value;
+}
+
+TEST(BitStream, ChunkedBitsMatchSerialAtEveryOffset) {
+  Rng rng(0xb175ULL);
+  for (std::uint32_t offset = 0; offset < 8; ++offset) {
+    for (std::uint32_t width = 0; width <= 64; ++width) {
+      const std::uint64_t ones = width == 0 ? 0 : ~0ULL >> (64 - width);
+      expect_chunked_matches_serial({random_bits(rng, offset),
+                                     random_bits(rng, width),
+                                     {FieldKind::kBits, ones, width},
+                                     {FieldKind::kBit, 1, 0}});
+    }
+  }
+}
+
+TEST(BitStream, ChunkedGammaAndVarintMatchSerial) {
+  std::vector<std::uint64_t> gammas{0, 1, (std::uint64_t{1} << 62) - 1};
+  for (std::uint32_t k = 1; k < 62; ++k) {
+    gammas.push_back((std::uint64_t{1} << k) - 1);
+    gammas.push_back((std::uint64_t{1} << k) + 1);
+  }
+  std::vector<std::uint64_t> varints{0, 127, 128, UINT64_MAX};
+  for (std::uint32_t k = 1; k < 64; ++k) {
+    varints.push_back(std::uint64_t{1} << k);
+  }
+  Rng rng(0x9a77aULL);
+  for (std::uint32_t offset = 0; offset < 8; ++offset) {
+    std::vector<Field> fields{random_bits(rng, offset)};
+    for (std::uint64_t g : gammas) fields.push_back({FieldKind::kGamma, g, 0});
+    for (std::uint64_t v : varints) {
+      fields.push_back({FieldKind::kVarint, v, 0});
+    }
+    expect_chunked_matches_serial(fields);
+  }
+}
+
+TEST(BitStream, ChunkedRandomFieldSequencesMatchSerial) {
+  Rng rng(0xc0dec0deULL);
+  for (int round = 0; round < 400; ++round) {
+    std::vector<Field> fields(1 + rng.index(40));
+    for (Field& f : fields) {
+      switch (rng.index(5)) {
+        case 0: f = {FieldKind::kBit, rng.next() & 1u, 0}; break;
+        case 1:
+          f = random_bits(rng, static_cast<std::uint32_t>(rng.index(65)));
+          break;
+        case 2: f = {FieldKind::kGamma, random_value(rng, 62), 0}; break;
+        case 3: f = {FieldKind::kVarint, random_value(rng, 64), 0}; break;
+        default: f = {FieldKind::kZeros, rng.index(80), 0}; break;
+      }
+    }
+    expect_chunked_matches_serial(fields);
+  }
+}
+
+// The message of the ContractError `read` throws, or "" if it throws none.
+template <class F>
+std::string contract_error(F&& read) {
+  try {
+    read();
+  } catch (const ContractError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+void expect_mentions(const std::string& message, const char* want) {
+  EXPECT_NE(message.find(want), std::string::npos)
+      << "expected \"" << want << "\" in \"" << message << "\"";
+}
+
+TEST(BitStream, ChunkedReaderStillRejectsBadInput) {
+  const char* underrun = "wire underrun";
+  const char* runaway = "runaway zero prefix";
+  for (std::uint32_t offset = 0; offset < 8; ++offset) {
+    SCOPED_TRACE(offset);
+    // Every field kind, cut one bit short of its end, underruns.
+    SerialWriter ref;
+    ref.pad_zeros(offset);
+    ref.put_bits(0x1234'5678'9abcULL, 48);
+    ref.put_gamma(1'000'000);
+    ref.put_varint(1'000'000);
+    Encoded cut = ref.out;
+    cut.bits = offset + 48 - 1;
+    BitReader bits(cut);
+    bits.skip(offset);
+    expect_mentions(contract_error([&] { (void)bits.get_bits(48); }), underrun);
+    cut.bits = offset + 48 + gamma_bits(1'000'000) - 1;
+    BitReader gamma(cut);
+    gamma.skip(offset + 48);
+    expect_mentions(contract_error([&] { (void)gamma.get_gamma(); }), underrun);
+    cut.bits = ref.out.bits - 1;
+    BitReader varint(cut);
+    varint.skip(offset + 48 + gamma_bits(1'000'000));
+    expect_mentions(contract_error([&] { (void)varint.get_varint(); }),
+                    underrun);
+
+    // A zero prefix that runs out of bits underruns; 63 zeros is a runaway
+    // wherever the stream ends, and 62 is the longest legal prefix.
+    for (std::uint64_t zeros : {5u, 30u, 62u}) {
+      SCOPED_TRACE(zeros);
+      SerialWriter z;
+      z.pad_zeros(offset + zeros);
+      BitReader r(z.out);
+      r.skip(offset);
+      expect_mentions(contract_error([&] { (void)r.get_gamma(); }), underrun);
+    }
+    for (std::uint64_t tail : {0u, 1u, 64u}) {
+      SCOPED_TRACE(tail);
+      SerialWriter z;
+      z.pad_zeros(offset + 63);
+      if (tail > 0) z.put_bit(true);
+      z.pad_zeros(tail);
+      BitReader r(z.out);
+      r.skip(offset);
+      expect_mentions(contract_error([&] { (void)r.get_gamma(); }), runaway);
+    }
+    SerialWriter longest;
+    longest.pad_zeros(offset);
+    longest.put_gamma((std::uint64_t{1} << 62) - 1);
+    BitReader r(longest.out);
+    r.skip(offset);
+    EXPECT_EQ(r.get_gamma(), (std::uint64_t{1} << 62) - 1);
+    EXPECT_TRUE(r.finished());
+  }
+  BitWriter w;
+  EXPECT_THROW(w.put_bits(0, 65), ContractError);
+  EXPECT_THROW(w.put_bits(8, 3), ContractError);
+  w.put_bits(5, 3);
+  const Encoded e = w.finish();
+  BitReader r(e);
+  EXPECT_THROW((void)r.get_bits(65), ContractError);
 }
 
 // ---- message codec ----------------------------------------------------------
