@@ -233,8 +233,8 @@ void DistributedController::resume_waiter_tail(const agent::Waiter& w,
   // of deep recursion; scheduling is always the conservative fallback.
   constexpr std::uint32_t kMaxChain = 128;
   sim::EventQueue& q = net_.queue();
-  if (!options_.batch_grants || resume_depth_ >= kMaxChain ||
-      net_.guarded_dispatch() || (!q.empty() && q.next_time() <= q.now())) {
+  if (resume_depth_ >= kMaxChain || net_.guarded_dispatch() ||
+      (!q.empty() && q.next_time() <= q.now())) {
     ++resume_stats_.scheduled;
     resume_waiter(w, at);
     return;

@@ -105,22 +105,11 @@ class DistributedController : public sim::CrashListener {
     /// shows up in NetStats.  Off by default: charging changes the per-kind
     /// byte counts of runs that existed before this layer.
     bool meter_persistence = false;
-    /// Vectorized permit grants (PR 9): when a lock release hands the node
-    /// to a waiter and the event queue has nothing else pending at the
-    /// current tick, run the waiter's continuation inline at the tail of
-    /// the current event instead of scheduling it at +0.  A grant wave
-    /// draining k queued requests then dispatches as one event (the k-1
-    /// inlined continuations are credited via
-    /// EventQueue::count_extra_fired, and their permit counters flush as
-    /// one batched add), so every counter — including perf.events — is
-    /// bit-identical to an unbatched run: the inlined waiter would have
-    /// been the very next event to fire anyway.
-    bool batch_grants = true;
   };
 
-  /// Grant-wave economics (exported as the perf.batch.* bench family, never
-  /// to the metrics registry: registry snapshots must stay bit-identical
-  /// between batched and unbatched runs).
+  /// Grant-wave diagnostics (see resume_waiter_tail).  Kept out of the
+  /// metrics registry: an inlined resume and a scheduled one must leave
+  /// identical registry snapshots.
   struct ResumeStats {
     std::uint64_t inlined = 0;    ///< waiter continuations run inline
     std::uint64_t scheduled = 0;  ///< waiter continuations scheduled at +0
@@ -330,7 +319,10 @@ class DistributedController : public sim::CrashListener {
   /// this is the LAST action of the current event's handler; the waiter is
   /// then run inline when that is provably equivalent to the +0 schedule
   /// it replaces (nothing else pending at the current tick), else
-  /// scheduled.
+  /// scheduled.  A grant wave draining k queued requests thus dispatches
+  /// as one event: the k-1 inlined continuations are credited via
+  /// EventQueue::count_extra_fired and their permit counters flush as one
+  /// add, so every counter matches the all-scheduled run.
   void resume_waiter_tail(const agent::Waiter& w, NodeId at);
   /// Count one granted permit.  Inside an inline resume chain the registry
   /// add is deferred and flushed as one batched op at the end of the chain

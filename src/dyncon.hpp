@@ -5,7 +5,7 @@
 // the whole public API; fine-grained headers are listed per subsystem.
 
 // Observability (metrics registry, typed events, run reports).
-#include "obs/metrics.hpp"          // counters/gauges/histograms + ScopeTimer
+#include "obs/metrics.hpp"          // counters/gauges/histograms
 #include "obs/events.hpp"           // typed trace events + EventTrace ring
 #include "obs/report.hpp"           // RunReport JSON exporter
 #include "obs/net_adapter.hpp"      // NetStats <-> registry/report bridge

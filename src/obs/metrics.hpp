@@ -22,7 +22,6 @@
 #include <array>
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -279,29 +278,6 @@ class ScopedMetrics {
 
  private:
   Registry* prev_;
-};
-
-/// RAII wall-clock phase timer: on destruction adds the elapsed seconds to
-/// gauge "wall.<name>" (accumulating, so repeated phases sum) and counts
-/// "wall.<name>.calls".  No-op when no registry is installed at destruction.
-class ScopeTimer {
- public:
-  explicit ScopeTimer(std::string name)
-      : name_(std::move(name)), start_(std::chrono::steady_clock::now()) {}
-  ~ScopeTimer() {
-    Registry* r = detail::g_metrics;
-    if (r == nullptr) return;
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    r->add_gauge("wall." + name_,
-                 std::chrono::duration<double>(elapsed).count());
-    r->add("wall." + name_ + ".calls");
-  }
-  ScopeTimer(const ScopeTimer&) = delete;
-  ScopeTimer& operator=(const ScopeTimer&) = delete;
-
- private:
-  std::string name_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace dyncon::obs

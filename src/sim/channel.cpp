@@ -76,15 +76,9 @@ void ReliableChannel::send(NodeId from, NodeId to, const Message& msg,
   }
   Link& link = links_[{from, to}];
   const std::uint64_t seq = link.next_seq++;
-  // The inner encoding comes from the network's per-kind encode cache
-  // (friend access): a run of same-shaped sends — the common case under
-  // retransmission storms — reuses one materialized encoding instead of
-  // re-running the encoder per frame.  Non-cacheable kinds encode directly.
-  Message frame = EncodeCache::cacheable(msg.kind())
-                      ? Message::channel_data(seq, net_.cache_.encoded(msg))
-                      : Message::channel_data(seq, msg);
   auto [it, inserted] = link.pending.try_emplace(
-      seq, std::move(frame), std::move(on_deliver), cfg_.initial_rto);
+      seq, Message::channel_data(seq, msg), std::move(on_deliver),
+      cfg_.initial_rto);
   DYNCON_INVARIANT(inserted, "sequence number reused on a link");
   static thread_local obs::CounterHandle data_frames("channel.data_frames");
   ++stats_.data_frames;
@@ -131,7 +125,7 @@ void ReliableChannel::on_frame(NodeId from, NodeId to, std::uint64_t seq) {
   // transmit — is transport work still owed by THIS event, so the released
   // continuations run under guarded dispatch: an inline fast path jumping
   // ahead of the remaining releases (or of the ack's delay/fault draws)
-  // would diverge from the unbatched schedule.
+  // would diverge from the all-scheduled run.
   ++net_.guard_depth_;
   struct Guard {
     std::uint32_t& d;

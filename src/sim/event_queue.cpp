@@ -6,11 +6,11 @@
 
 namespace dyncon::sim {
 
-std::uint32_t EventQueue::schedule_after(SimTime delay, Action action) {
-  return schedule_at(now_ + delay, std::move(action));
+void EventQueue::schedule_after(SimTime delay, Action action) {
+  schedule_at(now_ + delay, std::move(action));
 }
 
-std::uint32_t EventQueue::schedule_at(SimTime when, Action action) {
+void EventQueue::schedule_at(SimTime when, Action action) {
   DYNCON_REQUIRE(when >= now_, "cannot schedule in the past");
   DYNCON_REQUIRE(static_cast<bool>(action), "null action");
   std::uint32_t slot;
@@ -29,7 +29,6 @@ std::uint32_t EventQueue::schedule_at(SimTime when, Action action) {
     heap_.push_back(e);
     std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
-  return slot;
 }
 
 void EventQueue::bucket_put(const Entry& e) {

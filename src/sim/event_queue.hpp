@@ -54,26 +54,10 @@ class EventQueue {
   static constexpr SimTime kWindow = 256;
 
   /// Schedule `action` to fire `delay` ticks after the current time.
-  /// Returns the slab slot holding the action (see replace_action).
-  std::uint32_t schedule_after(SimTime delay, Action action);
+  void schedule_after(SimTime delay, Action action);
 
   /// Schedule at an absolute time (must not be in the past).
-  /// Returns the slab slot holding the action (see replace_action).
-  std::uint32_t schedule_at(SimTime when, Action action);
-
-  /// Swap the pending action in `slot` for another one, in place — the
-  /// entry's (when, seq) position is untouched.  This is how the network
-  /// upgrades an already-scheduled plain delivery into a coalesced-frame
-  /// dispatch when a second same-edge send arrives: the common n==1 case
-  /// pays for a plain schedule and nothing else.  The caller must prove
-  /// the entry has not fired yet (slots are recycled at pop time): the
-  /// network's test is "schedule_seq() unchanged since the schedule AND
-  /// the firing tick is still in the future".
-  Action replace_action(std::uint32_t slot, Action action) {
-    Action old = std::move(slab_[slot]);
-    slab_[slot] = std::move(action);
-    return old;
-  }
+  void schedule_at(SimTime when, Action action);
 
   /// Fire the earliest pending event.  Requires !empty().
   void step();
@@ -116,16 +100,11 @@ class EventQueue {
   [[nodiscard]] SimTime now() const { return now_; }
   [[nodiscard]] std::uint64_t events_fired() const { return fired_; }
 
-  /// The seq the NEXT schedule_at/schedule_after call will consume.  Lets
-  /// the network detect "nothing was scheduled since" — the legality test
-  /// for coalescing consecutive same-edge deliveries into one batch.
-  [[nodiscard]] std::uint64_t schedule_seq() const { return seq_; }
-
   /// Credit `n` additional fired events without dispatching through the
-  /// queue.  Batched dispatch (a coalesced delivery frame, an inlined grant
-  /// wave) runs k logical events under one queue pop; crediting the other
-  /// k-1 here keeps events_fired() — and every perf.events counter derived
-  /// from it — identical between batched and unbatched runs.
+  /// queue.  An inlined grant wave runs k logical events under one queue
+  /// pop; crediting the other k-1 here keeps events_fired() — and every
+  /// perf.events counter derived from it — identical to a run that
+  /// scheduled each of them.
   void count_extra_fired(std::uint64_t n) { fired_ += n; }
 
  private:

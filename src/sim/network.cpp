@@ -39,16 +39,6 @@ void NetStats::merge(const NetStats& other) {
   }
 }
 
-void BatchStats::merge(const BatchStats& other) {
-  frames += other.frames;
-  batched_msgs += other.batched_msgs;
-  frame_bits += other.frame_bits;
-  member_bits += other.member_bits;
-  for (std::size_t w = 0; w < msgs_per_frame.size(); ++w) {
-    msgs_per_frame[w] += other.msgs_per_frame[w];
-  }
-}
-
 void FaultStats::merge(const FaultStats& other) {
   drops += other.drops;
   duplicates += other.duplicates;
@@ -148,18 +138,11 @@ void Network::transmit(NodeId from, NodeId to, const Message& msg,
                    "wire round-trip mismatch for " + msg.str());
   ++stats_.roundtrip_checks;
   const std::uint64_t bits = enc.bits;
-  // Cross-check the encode cache against ground truth while we have it.
-  DYNCON_INVARIANT(cache_.measured_bits(msg) == bits,
-                   "encode cache disagrees with encode() for " + msg.str());
 #else
-  // Release builds take the size-only path through the per-kind encode
-  // cache: a hit returns the memoized size of the last message of this
-  // kind (one POD comparison), a miss runs the size-only BitCounter pass —
-  // the same body-writer as encode(), so the charged size is still
-  // *measured*, just without materializing the byte buffer nobody reads.
-  // (The ARQ channel still builds real frames: channel_data() embeds the
-  // cached inner encoding.)
-  const std::uint64_t bits = cache_.measured_bits(msg);
+  // Release builds take the size-only BitCounter pass — the same
+  // body-writer as encode(), so the charged size is still *measured*, just
+  // without materializing the byte buffer nobody reads.
+  const std::uint64_t bits = msg.encoded_bits();
 #endif
   // A channel data frame is charged under the kind of the message it wraps
   // (at the full wrapped size), so the per-kind decomposition exp9/exp13
@@ -198,11 +181,6 @@ void Network::transmit(NodeId from, NodeId to, const Message& msg,
     drops.add();
     return;
   }
-#ifndef NDEBUG
-  const Encoded* frame_payload = &enc;
-#else
-  const Encoded* frame_payload = nullptr;
-#endif
   if (fault.duplicates == 0) {
     // Hot path: exactly one delivery; the continuation moves through
     // untouched — no copy, no allocation.
@@ -216,8 +194,15 @@ void Network::transmit(NodeId from, NodeId to, const Message& msg,
     if (obs::SpanSink* sink = obs::spans();
         sink != nullptr && obs::current_span().trace != obs::kNoTrace) {
       const obs::SpanContext ctx = obs::current_span();
-      const std::uint64_t token = hop_token_++;
-      PendingHop& hop = pending_hops_[token];
+      std::uint32_t token;
+      if (free_hops_.empty()) {
+        token = static_cast<std::uint32_t>(hops_.size());
+        hops_.emplace_back();
+      } else {
+        token = free_hops_.back();
+        free_hops_.pop_back();
+      }
+      PendingHop& hop = hops_[token];
       hop.span.trace = ctx.trace;
       hop.span.id = sink->open(ctx.trace);
       hop.span.parent = ctx.span;
@@ -229,21 +214,14 @@ void Network::transmit(NodeId from, NodeId to, const Message& msg,
       hop.span.begin = queue_.now();
       hop.ctx = ctx;
       hop.deliver = std::move(on_deliver);
-      // The token trampoline batches exactly like a plain delivery: spans
-      // never perturb the virtual timeline, batched or not.
-      deliver_or_batch(from, to, d, bits,
-                       Deliver([this, token] { deliver_spanned(token); }),
-                       frame_payload);
+      queue_.schedule_after(d, [this, token] { deliver_spanned(token); });
       return;
     }
-    deliver_or_batch(from, to, d, bits, std::move(on_deliver),
-                     frame_payload);
+    queue_.schedule_after(d, std::move(on_deliver));
     return;
   }
   // Cold path (fault-injected copies): several events must share one
   // move-only continuation, so box it once and invoke through the box.
-  // Copies are never coalesced — but the scheduling below moves the queue's
-  // seq watermark, which closes any open batch automatically.
   const auto shared = std::make_shared<Deliver>(std::move(on_deliver));
   for (std::uint32_t copy = 0; copy <= fault.duplicates; ++copy) {
     const SimTime d = delay_->delay(from, to, seq_++) + fault.stall_ticks;
@@ -251,148 +229,12 @@ void Network::transmit(NodeId from, NodeId to, const Message& msg,
   }
 }
 
-void Network::deliver_or_batch(NodeId from, NodeId to, SimTime delay,
-                               std::uint64_t bits, Deliver cont,
-                               [[maybe_unused]] const Encoded* enc) {
-  if (!batching_) {
-    queue_.schedule_after(delay, std::move(cont));
-    return;
-  }
-  const SimTime when = queue_.now() + delay;
-  // Append is legal only when this delivery is provably the immediate
-  // (when, seq) successor of the batch's tail: same link, same delivery
-  // tick — still strictly in the future, since at `when == now` the head
-  // is firing or fired and its slab slot may be recycled — and NOTHING was
-  // scheduled since the last append (the queue's seq watermark is
-  // untouched, so unbatched seqs would have been consecutive).  Under that
-  // condition, running the members back to back inside one queue event IS
-  // the unbatched order, exactly.
-  if (open_.active && open_.from == from && open_.to == to &&
-      open_.when == when && when > queue_.now() &&
-      queue_.schedule_seq() == open_.sched_seq) {
-    if (open_.upgraded) {
-      BatchSlot& slot = batch_slots_[open_.slot];
-      if (slot.entries.size() < batch_window_) {
-        slot.entries.push_back(std::move(cont));
-        slot.bits.push_back(bits);
-#ifndef NDEBUG
-        if (enc != nullptr) slot.payloads.push_back(*enc);
-#endif
-        return;
-      }
-      // Window full: fall through to a fresh plain head.
-    } else if (batch_window_ >= 2) {
-      // Second member: upgrade the pending plain head into a frame
-      // dispatch.  The head's queue entry keeps its (when, seq) position;
-      // only its action is swapped, and the displaced continuation becomes
-      // the frame's first member.
-      std::uint32_t s;
-      if (batch_free_.empty()) {
-        s = static_cast<std::uint32_t>(batch_slots_.size());
-        batch_slots_.emplace_back();
-      } else {
-        s = batch_free_.back();
-        batch_free_.pop_back();
-      }
-      BatchSlot& slot = batch_slots_[s];
-      slot.entries.push_back(queue_.replace_action(
-          open_.head_slot, EventQueue::Action([this, s] { fire_batch(s); })));
-      slot.bits.push_back(open_.head_bits);
-      slot.entries.push_back(std::move(cont));
-      slot.bits.push_back(bits);
-#ifndef NDEBUG
-      if (open_.head_has_payload) {
-        slot.payloads.push_back(std::move(open_.head_payload));
-      }
-      if (enc != nullptr) slot.payloads.push_back(*enc);
-#endif
-      open_.upgraded = true;
-      open_.slot = s;
-      return;
-    }
-  }
-  // Plain head of a (potential) fresh batch: scheduled exactly as a
-  // --no-batch run would — the dominant never-coalesced case pays only the
-  // open-batch bookkeeping below.
-  const std::uint32_t head_slot = queue_.schedule_after(delay, std::move(cont));
-  open_.active = true;
-  open_.upgraded = false;
-  open_.from = from;
-  open_.to = to;
-  open_.when = when;
-  open_.sched_seq = queue_.schedule_seq();
-  open_.head_slot = head_slot;
-  open_.head_bits = bits;
-#ifndef NDEBUG
-  open_.head_has_payload = enc != nullptr;
-  if (enc != nullptr) open_.head_payload = *enc;
-#endif
-}
-
-void Network::fire_batch(std::uint32_t s) {
-  // The batch is closed from here on: appends to a firing frame are
-  // impossible by construction (the append test requires a future firing
-  // tick), but the open_ marker may still point at this slot if nothing
-  // was scheduled since the last append.
-  if (open_.active && open_.upgraded && open_.slot == s) open_.active = false;
-  BatchSlot& slot = batch_slots_[s];
-  const std::size_t n = slot.entries.size();
-  // Lazy opening guarantees a real frame: a batch only exists once a
-  // second member upgraded the plain head (n==1 deliveries never come
-  // through here — they fire as ordinary queue events).
-  DYNCON_INVARIANT(n >= 2, "coalesced frame with fewer than two members");
-  {
-    // Frame economics (BatchStats only — the per-message registry charges
-    // already happened at transmit time, identically to --no-batch).
-    const std::uint64_t fbits = batch_frame_bits(slot.bits.data(), n);
-    std::uint64_t members = 0;
-    for (std::size_t i = 0; i < n; ++i) members += slot.bits[i];
-    ++batch_stats_.frames;
-    batch_stats_.batched_msgs += n;
-    batch_stats_.frame_bits += fbits;
-    batch_stats_.member_bits += members;
-    ++batch_stats_.msgs_per_frame[std::bit_width(n)];
-#ifndef NDEBUG
-    // Assemble the real frame and round-trip it: the wire layout the
-    // arithmetic above charges for must actually encode and decode.
-    if (slot.payloads.size() == n) {
-      const Message frame = Message::batch_frame(slot.payloads);
-      const Encoded fenc = frame.encode();
-      DYNCON_INVARIANT(fenc.bits == fbits,
-                       "batch frame arithmetic disagrees with encode()");
-      DYNCON_INVARIANT(Message::decode(fenc) == frame,
-                       "wire round-trip mismatch for " + frame.str());
-    }
-#endif
-    // The n-1 merged members each stand for one unbatched queue pop.
-    queue_.count_extra_fired(n - 1);
-  }
-  // Run the members in append order == the unbatched (when, seq) order.
-  // Move the entry vector out first: a continuation may send again and
-  // grow batch_slots_, invalidating `slot`.
-  std::vector<Deliver> run = std::move(slot.entries);
-  slot.bits.clear();
-#ifndef NDEBUG
-  slot.payloads.clear();
-#endif
-  // Members run under guarded dispatch: a continuation that wants to inline
-  // follow-on work (the controller's grant waves) must not jump ahead of its
-  // sibling members — unbatched, they fire first.
-  ++guard_depth_;
-  for (Deliver& d : run) d();
-  --guard_depth_;
-  run.clear();
-  batch_slots_[s].entries = std::move(run);  // hand the capacity back
-  batch_free_.push_back(s);
-}
-
-void Network::deliver_spanned(std::uint64_t token) {
-  // Move the hop out BEFORE running anything: the continuation may send
-  // again and rehash the table.
-  auto it = pending_hops_.find(token);
-  DYNCON_INVARIANT(it != pending_hops_.end(), "unknown hop-span token");
-  PendingHop hop = std::move(it->second);
-  pending_hops_.erase(it);
+void Network::deliver_spanned(std::uint32_t token) {
+  // Move the hop out and free its slot BEFORE running anything: the
+  // continuation may send again and grow (reallocate) the table.
+  DYNCON_INVARIANT(token < hops_.size(), "unknown hop-span token");
+  PendingHop hop = std::move(hops_[token]);
+  free_hops_.push_back(token);
   hop.span.end = queue_.now();
   obs::emit_span(hop.span);
   // The continuation runs under the SENDER's causal context, so any sends
@@ -408,16 +250,9 @@ void Network::charge(const Message& prototype, std::uint64_t count) {
   DYNCON_INVARIANT(Message::decode(enc) == prototype,
                    "wire round-trip mismatch for " + prototype.str());
   ++stats_.roundtrip_checks;
-  DYNCON_INVARIANT(cache_.measured_bits(prototype) == enc.bits,
-                   "encode cache disagrees with encode() for " +
-                       prototype.str());
   account(prototype.kind(), enc.bits, count);
 #else
-  // Bursts of charges repeat a handful of prototype shapes (a graceful
-  // deletion emits one per handoff record); the per-kind encode cache —
-  // which PR 9 grew out of the charge memo that used to live here — sizes
-  // each shape once and repeats don't even pay the counting pass.
-  account(prototype.kind(), cache_.measured_bits(prototype), count);
+  account(prototype.kind(), prototype.encoded_bits(), count);
 #endif
 }
 

@@ -25,10 +25,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "obs/span.hpp"
 #include "sim/delay.hpp"
@@ -79,25 +78,6 @@ struct NetStats {
   /// Accumulate another instance's stats (benches sum the networks of a
   /// sweep into one figure for the run report).
   void merge(const NetStats& other);
-};
-
-/// Economics of the same-edge delivery coalescing layer (PR 9).  These are
-/// *frame* metrics, deliberately kept OUT of NetStats and the metrics
-/// registry: logical per-message accounting stays bit-identical between
-/// batched and --no-batch runs (the acceptance contract), while this struct
-/// records what the coalesced frames would cost a real transport.  Exported
-/// to reports only as the perf.batch.* bench family.
-struct BatchStats {
-  std::uint64_t frames = 0;        ///< coalesced frames fired (>= 2 msgs)
-  std::uint64_t batched_msgs = 0;  ///< messages delivered inside those frames
-  std::uint64_t frame_bits = 0;    ///< measured BatchFrame wire cost
-  std::uint64_t member_bits = 0;   ///< what the same messages cost singly
-  /// msgs_per_frame[w] counts frames whose message count has bit-width w
-  /// (same log2 bucketing as NetStats::size_histogram).
-  std::array<std::uint64_t, 33> msgs_per_frame{};
-  bool operator==(const BatchStats&) const = default;
-
-  void merge(const BatchStats& other);
 };
 
 /// Damage the installed FaultPolicy actually inflicted (cumulative per
@@ -193,33 +173,14 @@ class Network {
   [[nodiscard]] const NetStats& stats() const { return stats_; }
   void reset_stats() { stats_ = NetStats{}; }
 
-  /// Same-edge delivery coalescing: consecutive sends on one (src, dst)
-  /// link, bound for the same delivery tick with nothing else scheduled in
-  /// between, merge into one BatchFrame event (up to the window).  ON by
-  /// default — coalescing is exact: per-message accounting, fault draws,
-  /// delay draws, and the (when, seq) firing order are all unchanged, so a
-  /// batched run is byte-identical to a --no-batch run.
-  void set_batching(bool on) { batching_ = on; }
-  [[nodiscard]] bool batching() const { return batching_; }
-  /// Maximum messages coalesced into one frame (>= 1; 1 disables merging).
-  void set_batch_window(std::uint32_t window) {
-    DYNCON_REQUIRE(window >= 1, "batch window must be >= 1");
-    batch_window_ = window;
-  }
-  [[nodiscard]] std::uint32_t batch_window() const { return batch_window_; }
-
-  [[nodiscard]] const BatchStats& batch_stats() const { return batch_stats_; }
-  /// The per-kind encode cache (for its hit/lookup counters).
-  [[nodiscard]] const EncodeCache& encode_cache() const { return cache_; }
-
-  /// True while the current event still has transport work queued BEHIND the
-  /// continuation now running: a coalesced frame delivering its remaining
-  /// members, or the ARQ channel releasing held frames / about to send its
-  /// ack.  Inline fast paths that rely on "nothing happens between this
-  /// point and the next queue pop" (the controller's inline grant waves)
-  /// must check this and fall back to scheduling, or their sends would
-  /// consume delay/fault draws ahead of the pending transport work and the
-  /// run would diverge from its unbatched twin.
+  /// True while the current event still has transport work queued BEHIND
+  /// the continuation now running: the ARQ channel releasing held frames
+  /// back to back, then sending its ack.  Inline fast paths that rely on
+  /// "nothing happens between this point and the next queue pop" (the
+  /// controller's inline grant waves) must check this and fall back to
+  /// scheduling, or their sends would consume delay/fault draws ahead of
+  /// the pending transport work and the run would diverge from the
+  /// all-scheduled one.
   [[nodiscard]] bool guarded_dispatch() const { return guard_depth_ != 0; }
 
   [[nodiscard]] EventQueue& queue() { return queue_; }
@@ -228,7 +189,7 @@ class Network {
   friend class ReliableChannel;
 
   /// Per-message hop-span state, parked between send and delivery.  A side
-  /// table keyed by a token captured in the continuation — NOT a field of
+  /// table indexed by a token captured in the continuation — NOT a field of
   /// the message — so wire bytes, event timing, and the no-sink hot path
   /// are untouched; the table is populated only when a SpanSink is
   /// installed and the send happens inside a traced context.
@@ -238,45 +199,10 @@ class Network {
     Deliver deliver;
   };
 
-  /// One pooled coalescing buffer: the continuations (and measured sizes)
-  /// of the deliveries merged into one scheduled BatchFrame event.  All
-  /// vectors retain capacity across reuse — zero steady-state allocation.
-  struct BatchSlot {
-    std::vector<Deliver> entries;
-    std::vector<std::uint64_t> bits;
-#ifndef NDEBUG
-    std::vector<Encoded> payloads;  ///< real encodings, for the frame
-                                    ///< round-trip check
-#endif
-  };
-
-  /// The one batch currently accepting appends (at most one: adjacency is
-  /// what makes coalescing order-exact).  A batch opens LAZILY: the head
-  /// delivery is scheduled plain — exactly the --no-batch path — and only
-  /// a second coalescible send upgrades the pending queue entry into a
-  /// frame dispatch (EventQueue::replace_action).  The dominant n==1 case
-  /// therefore pays a few stores here and nothing else.
-  struct OpenBatch {
-    bool active = false;
-    bool upgraded = false;  ///< head entry already swapped for fire_batch
-    NodeId from = 0;
-    NodeId to = 0;
-    SimTime when = 0;           ///< delivery tick of every member
-    std::uint64_t sched_seq = 0;  ///< queue seq watermark at open/append —
-                                  ///< any scheduling in between closes it
-    std::uint32_t head_slot = 0;  ///< queue slab slot of the plain head
-    std::uint64_t head_bits = 0;  ///< head's measured size, for the frame
-    std::uint32_t slot = 0;       ///< batch slot, meaningful once upgraded
-#ifndef NDEBUG
-    Encoded head_payload;  ///< head's real encoding, for the round trip
-    bool head_has_payload = false;
-#endif
-  };
-
   void account(MsgKind kind, std::uint64_t bits, std::uint64_t count);
   /// Deliver a span-wrapped message: close + emit its hop span, then run
   /// the continuation under the sender's causal context.
-  void deliver_spanned(std::uint64_t token);
+  void deliver_spanned(std::uint32_t token);
   /// One physical transmission: measure, charge (under the inner kind for
   /// channel data frames), consult the fault policy, schedule the surviving
   /// copies.  `send` routes here directly on a reliable network; the
@@ -284,14 +210,6 @@ class Network {
   /// subject to the same faults and the same accounting as everything else.
   void transmit(NodeId from, NodeId to, const Message& msg,
                 Deliver on_deliver);
-  /// Schedule one surviving delivery — appending to the open batch when the
-  /// coalescing conditions hold, else opening a fresh one.  `enc` is the
-  /// debug-build encoding (null in release), kept for the frame round trip.
-  void deliver_or_batch(NodeId from, NodeId to, SimTime delay,
-                        std::uint64_t bits, Deliver cont, const Encoded* enc);
-  /// Fire a batch: record frame economics, credit the merged continuations
-  /// as fired events, run every entry in append (== seq) order.
-  void fire_batch(std::uint32_t slot);
 
   EventQueue& queue_;
   std::unique_ptr<DelayPolicy> delay_;
@@ -299,19 +217,11 @@ class Network {
   std::unique_ptr<ReliableChannel> channel_;
   NetStats stats_;
   FaultStats fault_stats_;
-  BatchStats batch_stats_;
-  /// Per-kind encode cache: measured sizes for the release transmit/charge
-  /// paths (supersedes the PR-4 charge memo), full bytes for the channel's
-  /// inner-payload embedding.
-  EncodeCache cache_;
-  std::vector<BatchSlot> batch_slots_;
-  std::vector<std::uint32_t> batch_free_;  ///< recycled slot indices
-  OpenBatch open_;
+  /// Parked hops, indexed by token; a delivered hop's slot goes on the
+  /// free list and is reused, so steady-state tracing allocates nothing.
+  std::vector<PendingHop> hops_;
+  std::vector<std::uint32_t> free_hops_;
   std::uint32_t guard_depth_ = 0;  ///< see guarded_dispatch()
-  bool batching_ = true;
-  std::uint32_t batch_window_ = 16;
-  std::unordered_map<std::uint64_t, PendingHop> pending_hops_;
-  std::uint64_t hop_token_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t strict_max_bits_ = 0;
   LinkCheck link_check_;

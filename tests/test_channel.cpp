@@ -1,12 +1,16 @@
 // Unit tests for the reliable-FIFO channel sublayer (sim/channel.hpp):
 // retransmission repairs drops, duplicate suppression, ack-loss recovery,
 // FIFO restoration under reordering, exponential backoff with a loud retry
-// cap, measured control-traffic accounting, and the zero-overhead-when-off
-// guarantee (bit-identical NetStats, asserted with NetStats::operator==).
+// cap, measured control-traffic accounting, the zero-overhead-when-off
+// guarantee (bit-identical NetStats, asserted with NetStats::operator==),
+// and per-link delivery order under every fault x delay adversary.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/channel.hpp"
@@ -231,6 +235,117 @@ TEST(Channel, WireRoundTripOfChannelFrames) {
   // Frames never nest.
   EXPECT_THROW(Message::channel_data(0, data), ContractError);
 }
+
+// ---- per-link delivery order under every fault x delay adversary ------------
+
+using FaultFactory = std::unique_ptr<FaultPolicy> (*)();
+
+/// One delivery stream: batches (bursts) of same-tick sends on two
+/// interleaved links.  Each link logs (arrival tick, message id) per
+/// delivery; ids rise in send order on both links.
+struct LinkLogs {
+  std::vector<std::pair<SimTime, std::uint64_t>> a;
+  std::vector<std::pair<SimTime, std::uint64_t>> b;
+  std::vector<std::uint64_t> sent_a;
+  std::vector<std::uint64_t> sent_b;
+  FaultStats faults;
+};
+
+LinkLogs run_links(DelayKind kind, FaultFactory make_fault, bool reliable) {
+  EventQueue q;
+  Network net(q, make_delay(kind, 99));
+  if (make_fault != nullptr) net.set_fault_policy(make_fault());
+  if (reliable) net.enable_reliability();
+  LinkLogs out;
+  Rng rng(5);
+  std::uint64_t id = 0;
+  for (int burst = 0; burst < 40; ++burst) {
+    const std::uint64_t k = 1 + rng.uniform(0, 5);
+    for (std::uint64_t i = 0; i < k; ++i) {
+      const std::uint64_t a = id++;
+      out.sent_a.push_back(a);
+      net.send(0, 1, Message::data_move(a),
+               [&out, &q, a] { out.a.emplace_back(q.now(), a); });
+      if (rng.chance(0.4)) {
+        const std::uint64_t b = id++;
+        out.sent_b.push_back(b);
+        net.send(2, 3, Message::data_move(b),
+                 [&out, &q, b] { out.b.emplace_back(q.now(), b); });
+      }
+    }
+    q.run();
+  }
+  out.faults = net.fault_stats();
+  return out;
+}
+
+std::vector<std::uint64_t> ids(
+    const std::vector<std::pair<SimTime, std::uint64_t>>& log) {
+  std::vector<std::uint64_t> out;
+  for (const auto& [tick, id] : log) out.push_back(id);
+  return out;
+}
+
+class BatchFifo : public ::testing::TestWithParam<DelayKind> {};
+
+TEST_P(BatchFifo, OrderIdenticalUnderEveryFaultAdversary) {
+  const DelayKind kind = GetParam();
+  const FaultFactory adversaries[] = {
+      nullptr,
+      +[]() -> std::unique_ptr<FaultPolicy> {
+        return std::make_unique<DropFault>(Rng(11), 0.2);
+      },
+      +[]() -> std::unique_ptr<FaultPolicy> {
+        return std::make_unique<DuplicateFault>(Rng(5), 0.3);
+      },
+      +[]() -> std::unique_ptr<FaultPolicy> {
+        return std::make_unique<BurstLossFault>(Rng(7), 1.0, 96, 24);
+      },
+      +[]() -> std::unique_ptr<FaultPolicy> {
+        return std::make_unique<StallFault>(Rng(3), 1.0, 64, 8);
+      },
+      +[]() -> std::unique_ptr<FaultPolicy> {
+        std::vector<std::unique_ptr<FaultPolicy>> kids;
+        kids.push_back(std::make_unique<DropFault>(Rng(1), 0.1));
+        kids.push_back(std::make_unique<StallFault>(Rng(2), 0.1, 64, 8));
+        return std::make_unique<ComposedFault>(std::move(kids));
+      },
+  };
+  for (std::size_t i = 0; i < std::size(adversaries); ++i) {
+    // Raw links: deliveries on a link fire in arrival-tick order, and
+    // same-tick arrivals fire in send order (the event queue's FIFO
+    // tie-break), whatever the adversary drops, copies or holds.
+    const LinkLogs raw = run_links(kind, adversaries[i], false);
+    EXPECT_TRUE(std::is_sorted(raw.a.begin(), raw.a.end()))
+        << "adversary " << i;
+    EXPECT_TRUE(std::is_sorted(raw.b.begin(), raw.b.end()))
+        << "adversary " << i;
+    if (adversaries[i] == nullptr) {
+      EXPECT_EQ(raw.a.size(), raw.sent_a.size());
+      EXPECT_EQ(raw.b.size(), raw.sent_b.size());
+      continue;  // fault-free: the channel is a passthrough
+    }
+    // The adversary must actually injure traffic, or the check is vacuous.
+    EXPECT_GT(raw.faults.drops + raw.faults.duplicates + raw.faults.stalls,
+              0u)
+        << "adversary " << i;
+    // Over the ARQ channel every link is reliable FIFO: each message
+    // arrives exactly once, in send order.
+    const LinkLogs arq = run_links(kind, adversaries[i], true);
+    EXPECT_EQ(ids(arq.a), arq.sent_a) << "adversary " << i;
+    EXPECT_EQ(ids(arq.b), arq.sent_b) << "adversary " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDelayKinds, BatchFifo,
+                         ::testing::Values(DelayKind::kFixed,
+                                           DelayKind::kUniform,
+                                           DelayKind::kHeavyTail,
+                                           DelayKind::kBiased,
+                                           DelayKind::kReorder),
+                         [](const auto& info) {
+                           return std::string(delay_kind_name(info.param));
+                         });
 
 }  // namespace
 }  // namespace dyncon::sim

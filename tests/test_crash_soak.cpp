@@ -15,7 +15,6 @@
 
 #include "agent/durable.hpp"
 #include "core/distributed_controller.hpp"
-#include "obs/metrics.hpp"
 #include "sim/channel.hpp"
 #include "sim/crash.hpp"
 #include "sim/fault.hpp"
@@ -204,74 +203,6 @@ TEST(CrashSoak, TopologyChurnUnderCrashes) {
     EXPECT_EQ(net.channel()->in_flight(), 0u);
     EXPECT_GT(crashes.crashes(), 0u);
   }
-}
-
-TEST(CrashSoak, BatchingIdentityUnderCrashes) {
-  // One grid cell (chaos faults x reorder delay x durable journal), run
-  // with delivery batching on and off: coalescing is transport-only, so
-  // the registries and outcome tallies must be byte-identical even while
-  // nodes crash mid-flight.  CI's chaos-smoke job also runs this cell on
-  // its own so a batching regression under crashes is attributable at a
-  // glance.
-  struct Fingerprint {
-    std::string registry;
-    std::uint64_t answered = 0, granted = 0, rejected = 0, frames = 0;
-  };
-  auto run_cell = [](bool batching) {
-    Fingerprint fp;
-    obs::Registry reg;
-    obs::ScopedMetrics scope(reg);
-    Rng rng(7);
-    sim::EventQueue queue;
-    sim::Network net(queue, sim::make_delay(sim::DelayKind::kReorder, 8));
-    net.set_batching(batching);
-    DynamicTree t;
-    workload::build(t, workload::Shape::kRandomAttach, 32, rng);
-
-    sim::CrashSchedule sch(Rng(10), 0.3, 512, 64);
-    sch.set_limit(32);
-    sch.set_immune(t.root());
-    auto sched = std::make_shared<const sim::CrashSchedule>(sch);
-    net.set_fault_policy(sim::make_crash_stack(
-        sim::make_fault(sim::FaultKind::kChaos, 9), sched));
-    net.enable_reliability();
-    sim::CrashDriver crashes(queue, sched);
-    sim::Watchdog wd(queue, 20'000'000);
-
-    const std::uint64_t M = 60, W = 10;
-    DistributedController::Options opts;
-    opts.watchdog = &wd;
-    opts.crashes = &crashes;
-    opts.durability = agent::Durability::kDurable;
-    DistributedController ctrl(net, t, Params(M, W, 256), opts);
-    crashes.start(32, SimTime{1} << 16);
-
-    const auto nodes = t.alive_nodes();
-    for (std::uint64_t i = 0; i < 150; ++i) {
-      ctrl.submit_event(nodes[rng.index(nodes.size())], [&](const Result& r) {
-        ++fp.answered;
-        fp.granted += r.granted();
-        fp.rejected += r.outcome == Outcome::kRejected;
-      });
-    }
-    queue.run();
-    while (wd.run_recovery_sweep() > 0) queue.run();
-    wd.verify_idle();
-    fp.frames = net.batch_stats().frames;
-    fp.registry = reg.to_json().dump();
-    return fp;
-  };
-
-  const Fingerprint batched = run_cell(true);
-  const Fingerprint plain = run_cell(false);
-  EXPECT_EQ(batched.answered, 150u);
-  EXPECT_EQ(batched.registry, plain.registry);
-  EXPECT_EQ(batched.answered, plain.answered);
-  EXPECT_EQ(batched.granted, plain.granted);
-  EXPECT_EQ(batched.rejected, plain.rejected);
-  // The knob actually engaged: frames only exist on the batched run.
-  EXPECT_EQ(plain.frames, 0u);
-  EXPECT_GT(batched.frames, 0u);
 }
 
 TEST(CrashSoak, WatchdogConvictsWithoutTheChannel) {

@@ -187,15 +187,6 @@ TEST(Registry, ScopedInstallRestoresPrevious) {
   EXPECT_EQ(outer.counter("x"), 2u);
 }
 
-TEST(Registry, ScopeTimerAccumulates) {
-  Registry reg;
-  ScopedMetrics scope(reg);
-  { ScopeTimer t("phase"); }
-  { ScopeTimer t("phase"); }
-  EXPECT_EQ(reg.counter("wall.phase.calls"), 2u);
-  EXPECT_GE(reg.gauge("wall.phase"), 0.0);
-}
-
 // ---- typed events -----------------------------------------------------------
 
 TEST(EventTrace, RingWrapsKeepingNewest) {

@@ -584,20 +584,6 @@ TEST(Wire, EncodedBitsMatchesEncodeForEveryKindFuzzed) {
             : Message::app_value(AppTopic::kReport, fuzz_value(rng));
     cover(Message::channel_data(fuzz_gamma(rng), inner));
     cover(Message::channel_ack(fuzz_gamma(rng)));
-    // Batch frames: 1..5 random non-batch payloads back to back (the count
-    // prefix and every per-payload length prefix must count bit-exactly).
-    std::vector<Encoded> payloads;
-    const std::uint64_t n = rng.uniform(1, 5);
-    for (std::uint64_t p = 0; p < n; ++p) {
-      payloads.push_back(
-          rng.chance(0.5)
-              ? Message::agent_hop(fuzz_value(rng), fuzz_gamma(rng),
-                                   fuzz_gamma(rng), 1, 1, false)
-                    .encode()
-              : Message::control(ControlTopic::kBroadcast, fuzz_gamma(rng))
-                    .encode());
-    }
-    cover(Message::batch_frame(std::move(payloads)));
   }
   for (std::size_t k = 0; k < static_cast<std::size_t>(MsgKind::kKindCount__);
        ++k) {
