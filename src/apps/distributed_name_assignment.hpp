@@ -20,7 +20,7 @@
 #include <unordered_map>
 
 #include "agent/convergecast.hpp"
-#include "core/distributed_iterated.hpp"
+#include "core/iterated.hpp"
 
 namespace dyncon::apps {
 

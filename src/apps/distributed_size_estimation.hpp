@@ -19,7 +19,7 @@
 #include <memory>
 
 #include "agent/convergecast.hpp"
-#include "core/distributed_iterated.hpp"
+#include "core/iterated.hpp"
 
 namespace dyncon::apps {
 

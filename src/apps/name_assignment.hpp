@@ -19,7 +19,7 @@
 #include <memory>
 #include <unordered_map>
 
-#include "core/terminating_controller.hpp"
+#include "core/iterated.hpp"
 
 namespace dyncon::apps {
 

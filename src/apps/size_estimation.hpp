@@ -19,7 +19,7 @@
 #include <functional>
 #include <memory>
 
-#include "core/terminating_controller.hpp"
+#include "core/iterated.hpp"
 
 namespace dyncon::apps {
 

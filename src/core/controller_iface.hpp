@@ -8,9 +8,13 @@
 // it grants the permit, so a change can never happen without a permit.
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <ostream>
+#include <utility>
 
+#include "tree/dynamic_tree.hpp"
+#include "util/error.hpp"
 #include "util/ids.hpp"
 
 namespace dyncon::core {
@@ -82,6 +86,28 @@ inline std::ostream& operator<<(std::ostream& os, const RequestSpec& spec) {
   return os << request_type_name(spec.type) << "(" << spec.subject << ")";
 }
 
+/// The submission contract every controller enforces: the subject is alive,
+/// nothing is inserted above the root, and the root is never deleted.
+inline void require_valid_request(const tree::DynamicTree& tree,
+                                  const RequestSpec& spec) {
+  DYNCON_REQUIRE(tree.alive(spec.subject), "request subject not alive");
+  DYNCON_REQUIRE(spec.type != RequestSpec::Type::kAddInternal ||
+                     spec.subject != tree.root(),
+                 "cannot insert above the root");
+  DYNCON_REQUIRE(
+      spec.type != RequestSpec::Type::kRemove || spec.subject != tree.root(),
+      "the root is never deleted");
+}
+
+/// Where a request arrives (§2.1.2): an insertion above `subject` arrives at
+/// its parent, everything else at the subject itself.
+[[nodiscard]] inline NodeId arrival_node(const tree::DynamicTree& tree,
+                                         const RequestSpec& spec) {
+  return spec.type == RequestSpec::Type::kAddInternal
+             ? tree.parent(spec.subject)
+             : spec.subject;
+}
+
 /// Result of one request.
 struct Result {
   Outcome outcome = Outcome::kRejected;
@@ -99,6 +125,39 @@ struct Result {
   [[nodiscard]] bool granted() const { return outcome == Outcome::kGranted; }
 };
 
+/// Completion callback of asynchronous submissions.  Deliberately
+/// std::function, not the hot-path InlineFn: it is stored once per
+/// *request* (not per event/send), and callers legitimately capture big
+/// closures (test fixtures, latching lambdas) that must not be squeezed into
+/// a 64-byte inline budget.
+using Callback = std::function<void(const Result&)>;
+
+/// The per-type submission shorthands of an asynchronous controller, each
+/// forwarding to the controller's own `submit(spec, done)`.
+template <typename Derived>
+class SubmitShorthands {
+ public:
+  void submit_event(NodeId u, Callback done) {
+    forward(RequestSpec{RequestSpec::Type::kEvent, u}, std::move(done));
+  }
+  void submit_add_leaf(NodeId parent, Callback done) {
+    forward(RequestSpec{RequestSpec::Type::kAddLeaf, parent},
+            std::move(done));
+  }
+  void submit_add_internal_above(NodeId child, Callback done) {
+    forward(RequestSpec{RequestSpec::Type::kAddInternal, child},
+            std::move(done));
+  }
+  void submit_remove(NodeId v, Callback done) {
+    forward(RequestSpec{RequestSpec::Type::kRemove, v}, std::move(done));
+  }
+
+ private:
+  void forward(const RequestSpec& spec, Callback done) {
+    static_cast<Derived*>(this)->submit(spec, std::move(done));
+  }
+};
+
 /// Synchronous controller interface (centralized controllers and the
 /// synchronous facades of distributed ones used by benches).
 class IController {
@@ -112,6 +171,21 @@ class IController {
   virtual Result request_add_leaf(NodeId parent) = 0;
   virtual Result request_add_internal_above(NodeId child) = 0;
   virtual Result request_remove(NodeId v) = 0;
+
+  /// The request_* call that `spec` names.
+  Result request(const RequestSpec& spec) {
+    switch (spec.type) {
+      case RequestSpec::Type::kEvent:
+        return request_event(spec.subject);
+      case RequestSpec::Type::kAddLeaf:
+        return request_add_leaf(spec.subject);
+      case RequestSpec::Type::kAddInternal:
+        return request_add_internal_above(spec.subject);
+      case RequestSpec::Type::kRemove:
+        return request_remove(spec.subject);
+    }
+    return Result{};
+  }
 
   /// The paper's cost measure so far: move complexity for centralized
   /// controllers, message count for distributed ones.

@@ -5,7 +5,6 @@
 
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
-#include "sim/watchdog.hpp"
 #include "util/error.hpp"
 
 namespace dyncon::core {
@@ -14,62 +13,56 @@ DistributedAdaptive::DistributedAdaptive(sim::Network& net,
                                          tree::DynamicTree& tree,
                                          std::uint64_t M, std::uint64_t W,
                                          Options options)
-    : net_(net), tree_(tree), options_(options), w_(W), mi_(M) {
+    : model_(net),
+      tree_(tree),
+      options_(std::move(options)),
+      w_(W),
+      mi_(M),
+      // One probe over both instances; no short-circuit, so a doomed holder
+      // in the sidecar is collected even when the main instance acted.
+      death_probe_(options_.crashes != nullptr ? options_.watchdog : nullptr,
+                   this, [this] {
+                     const bool a = main_ != nullptr && main_->crash_recover();
+                     const bool b =
+                         counter_ != nullptr && counter_->crash_recover();
+                     return a || b;
+                   }) {
   DYNCON_REQUIRE(M >= 1, "M must be >= 1");
-  if (options_.watchdog != nullptr && options_.crashes != nullptr) {
-    // One probe over both instances; no short-circuit, so a doomed holder
-    // in the sidecar is collected even when the main instance acted.
-    options_.watchdog->add_death_probe(this, [this] {
-      const bool a = main_ != nullptr && main_->crash_recover();
-      const bool b = counter_ != nullptr && counter_->crash_recover();
-      return a || b;
-    });
-  }
+  // App. A needs every instance to apply changes, grant anonymous permits
+  // and answer rather than reject; none of these base fields is an option.
+  DYNCON_REQUIRE(options_.mode == DistributedController::Mode::kRejectWave &&
+                     options_.apply_events && options_.serials.empty() &&
+                     !options_.on_pass_down && !options_.debug_trace,
+                 "DistributedAdaptive takes no mode, apply_events, serials, "
+                 "on_pass_down or debug_trace");
   start_iteration();
-}
-
-DistributedAdaptive::~DistributedAdaptive() {
-  if (options_.watchdog != nullptr && options_.crashes != nullptr) {
-    options_.watchdog->remove_death_probe(this);
-  }
 }
 
 void DistributedAdaptive::start_iteration() {
   ++iterations_;
   obs::count("controller.iterations");
   obs::emit(obs::TraceEvent{obs::EventKind::kIterationStart,
-                            net_.queue().now(), tree_.root(), iterations_,
+                            model_.now(), tree_.root(), iterations_,
                             mi_});
   const std::uint64_t n = std::max<std::uint64_t>(tree_.size(), 1);
   max_n_ = std::max(max_n_, n);
   ui_ = options_.policy == Policy::kChangeCount ? 2 * n : 2 * max_n_;
 
-  DistributedTerminating::Options main_opts;
-  main_opts.track_domains = options_.track_domains;
-  main_opts.allow_unreliable_transport = options_.allow_unreliable_transport;
-  main_opts.crashes = options_.crashes;
-  main_opts.durability = options_.durability;
-  main_opts.meter_persistence = options_.meter_persistence;
-  main_opts.crash_redrives = options_.crash_redrives;
-  main_ = std::make_unique<DistributedTerminating>(net_, tree_, mi_, w_, ui_,
+  DistributedController::Options main_opts = options_;
+  main_opts.watchdog = nullptr;  // armed at this wrapper's boundary
+  main_ = std::make_unique<DistributedTerminating>(model_, tree_, mi_, w_, ui_,
                                                    main_opts);
 
-  DistributedTerminating::Options counter_opts;
-  counter_opts.track_domains = false;   // accounting sidecar only
-  counter_opts.apply_events = false;    // counts, never applies changes
-  counter_opts.allow_unreliable_transport =
-      options_.allow_unreliable_transport;
-  counter_opts.crashes = options_.crashes;
-  counter_opts.durability = options_.durability;
-  counter_opts.meter_persistence = options_.meter_persistence;
-  counter_opts.crash_redrives = options_.crash_redrives;
+  DistributedController::Options counter_opts = main_opts;
+  counter_opts.track_domains = false;  // accounting sidecar only
+  counter_opts.apply_events = false;   // counts, never applies changes
   counter_ = std::make_unique<DistributedTerminating>(
-      net_, tree_, std::max<std::uint64_t>(ui_ / 2, 1),
-      std::max<std::uint64_t>(ui_ / 4, 1), ui_, counter_opts);
+      model_, tree_, std::max<std::uint64_t>(ui_ / 2, 1),
+      std::max<std::uint64_t>(ui_ / 4, 1), ui_, std::move(counter_opts));
 }
 
 void DistributedAdaptive::complete_async(Callback done, Result r) {
-  net_.queue().schedule_after(0, [done = std::move(done), r] { done(r); });
+  model_.post([done = std::move(done), r] { done(r); });
 }
 
 void DistributedAdaptive::begin_rotation(bool main_exhausted) {
@@ -81,8 +74,7 @@ void DistributedAdaptive::begin_rotation(bool main_exhausted) {
     // Defer the teardown to a fresh event: this callback runs inside the
     // draining controller's own call chain, which must fully unwind before
     // the controller object may be destroyed.
-    net_.queue().schedule_after(
-        0, [this, main_exhausted] { finish_rotation(main_exhausted); });
+    model_.post([this, main_exhausted] { finish_rotation(main_exhausted); });
   };
   main_->terminate(drained);
   counter_->terminate(drained);
@@ -92,17 +84,13 @@ void DistributedAdaptive::finish_rotation(bool main_exhausted) {
   {
     obs::count("controller.rotations");
     obs::emit(obs::TraceEvent{obs::EventKind::kIterationRotate,
-                              net_.queue().now(), tree_.root(), iterations_,
+                              model_.now(), tree_.root(), iterations_,
                               main_->permits_granted()});
     // Both controllers are quiescent: broadcast/upcast counts N_{i+1} and
     // Y_i and resets the data structures.
     const std::uint64_t yi = main_->permits_granted();
     messages_base_ += main_->messages_used() + counter_->messages_used() +
-                      2 * tree_.size();
-    net_.charge(sim::Message::control(
-                    sim::ControlTopic::kRotate,
-                    std::max<std::uint64_t>(tree_.size(), yi + 1)),
-                2 * tree_.size());
+                      model_.rotation(tree_.size(), yi + 1);
     granted_base_ += yi;
     main_.reset();
     counter_.reset();
@@ -143,11 +131,9 @@ void DistributedAdaptive::submit_to_main(const RequestSpec& spec,
 void DistributedAdaptive::dispatch(const RequestSpec& spec, Callback done) {
   if (done_) {
     if (!wave_charged_) {
-      messages_base_ += tree_.size();
-      net_.charge(sim::Message::reject_wave(), tree_.size());
+      messages_base_ += model_.reject_wave(tree_.size());
       wave_charged_ = true;
     }
-    ++rejects_;
     complete_async(std::move(done), Result{Outcome::kRejected});
     return;
   }
@@ -195,36 +181,8 @@ void DistributedAdaptive::dispatch(const RequestSpec& spec, Callback done) {
 }
 
 void DistributedAdaptive::submit(const RequestSpec& spec, Callback done) {
-  DYNCON_REQUIRE(static_cast<bool>(done), "null completion callback");
-  if (options_.watchdog != nullptr) {
-    // Static label + stored origin keep arming allocation-free (PR 4).
-    const sim::Watchdog::Token token =
-        options_.watchdog->arm(spec.subject, request_type_name(spec.type));
-    done = [wd = options_.watchdog, token,
-            done = std::move(done)](const Result& r) {
-      wd->disarm(token);
-      done(r);
-    };
-  }
+  admit_request(tree_, spec, options_.watchdog, done);
   dispatch(spec, std::move(done));
-}
-
-void DistributedAdaptive::submit_event(NodeId u, Callback done) {
-  submit(RequestSpec{RequestSpec::Type::kEvent, u}, std::move(done));
-}
-
-void DistributedAdaptive::submit_add_leaf(NodeId parent, Callback done) {
-  submit(RequestSpec{RequestSpec::Type::kAddLeaf, parent}, std::move(done));
-}
-
-void DistributedAdaptive::submit_add_internal_above(NodeId child,
-                                                    Callback done) {
-  submit(RequestSpec{RequestSpec::Type::kAddInternal, child},
-         std::move(done));
-}
-
-void DistributedAdaptive::submit_remove(NodeId v, Callback done) {
-  submit(RequestSpec{RequestSpec::Type::kRemove, v}, std::move(done));
 }
 
 std::uint64_t DistributedAdaptive::messages_used() const {

@@ -24,33 +24,26 @@
 #include <deque>
 #include <memory>
 
-#include "core/distributed_iterated.hpp"
+#include "core/iterated.hpp"
 
 namespace dyncon::core {
 
-class DistributedAdaptive {
+class DistributedAdaptive : public SubmitShorthands<DistributedAdaptive> {
  public:
   using Callback = DistributedController::Callback;
 
   enum class Policy : std::uint8_t { kChangeCount, kSizeDoubling };
 
-  struct Options {
-    bool track_domains = true;
+  /// The base fields are forwarded to both inner controllers (main +
+  /// counting sidecar), except `watchdog`: it is armed at *this* wrapper's
+  /// submit boundary — one token per request across rotations — and its
+  /// death probe sweeps both instances.  `mode`, `apply_events`, `serials`,
+  /// `on_pass_down` and `debug_trace` must stay at their defaults.
+  struct Options : DistributedController::Options {
     /// Part 1 (default) rotates after ~U_i/4 changes with U_i = 2 N_i;
     /// part 2 sizes U_i by the maximum simultaneous node count seen so far
     /// (Thm. 3.5's second bound).
     Policy policy = Policy::kChangeCount;
-    /// Armed at *this* wrapper's submit boundary — one token per request
-    /// across rotations; not forwarded to the inner controllers.
-    sim::Watchdog* watchdog = nullptr;
-    /// Forwarded to both inner controllers (main + counting sidecar).
-    bool allow_unreliable_transport = false;
-    /// Crash stack, forwarded to both inner controllers; the wrapper's
-    /// death probe sweeps both (see DistributedIterated::Options).
-    sim::CrashDriver* crashes = nullptr;
-    agent::Durability durability = agent::Durability::kVolatile;
-    bool meter_persistence = false;
-    std::uint32_t crash_redrives = 2;
   };
 
   DistributedAdaptive(sim::Network& net, tree::DynamicTree& tree,
@@ -58,23 +51,16 @@ class DistributedAdaptive {
   DistributedAdaptive(sim::Network& net, tree::DynamicTree& tree,
                       std::uint64_t M, std::uint64_t W)
       : DistributedAdaptive(net, tree, M, W, Options{}) {}
-  ~DistributedAdaptive();
 
   DistributedAdaptive(const DistributedAdaptive&) = delete;
   DistributedAdaptive& operator=(const DistributedAdaptive&) = delete;
 
   void submit(const RequestSpec& spec, Callback done);
-  void submit_event(NodeId u, Callback done);
-  void submit_add_leaf(NodeId parent, Callback done);
-  void submit_add_internal_above(NodeId child, Callback done);
-  void submit_remove(NodeId v, Callback done);
 
   [[nodiscard]] std::uint64_t messages_used() const;
   [[nodiscard]] std::uint64_t permits_granted() const;
-  [[nodiscard]] std::uint64_t rejects_delivered() const { return rejects_; }
   [[nodiscard]] std::uint64_t iterations() const { return iterations_; }
   [[nodiscard]] bool done() const { return done_; }
-  [[nodiscard]] std::uint64_t current_U() const { return ui_; }
 
  private:
   void start_iteration();
@@ -84,7 +70,7 @@ class DistributedAdaptive {
   void submit_to_main(const RequestSpec& spec, Callback done);
   void complete_async(Callback done, Result r);
 
-  sim::Network& net_;
+  CostModel<DistributedController> model_;
   tree::DynamicTree& tree_;
   Options options_;
   std::uint64_t w_;
@@ -102,7 +88,7 @@ class DistributedAdaptive {
   std::uint64_t iterations_ = 0;
   std::uint64_t granted_base_ = 0;
   std::uint64_t messages_base_ = 0;
-  std::uint64_t rejects_ = 0;
+  sim::Watchdog::ProbeScope death_probe_;
 };
 
 }  // namespace dyncon::core

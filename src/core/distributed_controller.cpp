@@ -20,6 +20,8 @@ DistributedController::DistributedController(sim::Network& net,
       params_(params),
       options_(std::move(options)),
       taxi_(net, tree),
+      death_probe_(options_.crashes != nullptr ? options_.watchdog : nullptr,
+                   this, [this] { return crash_recover(); }),
       storage_(params.M()),
       storage_serials_(options_.serials) {
   DYNCON_REQUIRE(
@@ -52,65 +54,19 @@ DistributedController::DistributedController(sim::Network& net,
     if (options_.meter_persistence) durable_->set_charge_network(&net_);
     boards_.set_observer([this](NodeId v) { durable_->persist(v); });
   }
-  if (options_.crashes != nullptr) {
-    options_.crashes->add_listener(this);
-    // Wrapped instances get no watchdog (the wrapper arms/disarms and
-    // installs its own probe over the whole stack); a standalone controller
-    // running with both a watchdog and a crash adversary wires the
-    // orphan-lock release wave here.
-    if (options_.watchdog != nullptr) {
-      options_.watchdog->add_death_probe(this,
-                                         [this] { return crash_recover(); });
-    }
-  }
+  if (options_.crashes != nullptr) options_.crashes->add_listener(this);
 }
 
 DistributedController::~DistributedController() {
-  if (options_.crashes != nullptr) {
-    options_.crashes->remove_listener(this);
-    if (options_.watchdog != nullptr) {
-      options_.watchdog->remove_death_probe(this);
-    }
-  }
+  if (options_.crashes != nullptr) options_.crashes->remove_listener(this);
   net_.clear_link_check(this);
   if (domains_) tree_.remove_observer(domains_.get());
 }
 
 // ---- submission --------------------------------------------------------------
 
-void DistributedController::submit_event(NodeId u, Callback done) {
-  submit(RequestSpec{RequestSpec::Type::kEvent, u}, std::move(done));
-}
-
-void DistributedController::submit_add_leaf(NodeId parent, Callback done) {
-  submit(RequestSpec{RequestSpec::Type::kAddLeaf, parent}, std::move(done));
-}
-
-void DistributedController::submit_add_internal_above(NodeId child,
-                                                      Callback done) {
-  DYNCON_REQUIRE(child != tree_.root(), "cannot insert above the root");
-  submit(RequestSpec{RequestSpec::Type::kAddInternal, child},
-         std::move(done));
-}
-
-void DistributedController::submit_remove(NodeId v, Callback done) {
-  DYNCON_REQUIRE(v != tree_.root(), "the root is never deleted");
-  submit(RequestSpec{RequestSpec::Type::kRemove, v}, std::move(done));
-}
-
 void DistributedController::submit(const RequestSpec& spec, Callback done) {
-  DYNCON_REQUIRE(tree_.alive(spec.subject), "request subject not alive");
-  DYNCON_REQUIRE(static_cast<bool>(done), "null completion callback");
-  if (options_.watchdog != nullptr) {
-    // Static label + stored origin keep arming allocation-free (PR 4).
-    const sim::Watchdog::Token token =
-        options_.watchdog->arm(spec.subject, request_type_name(spec.type));
-    done = [wd = options_.watchdog, token,
-            done = std::move(done)](const Result& r) {
-      wd->disarm(token);
-      done(r);
-    };
-  }
+  admit_request(tree_, spec, options_.watchdog, done);
   // The request enters the system as an event so the creation is ordered
   // with everything else in simulated time.
   net_.queue().schedule_after(0, [this, spec, done = std::move(done)] {
@@ -122,9 +78,7 @@ void DistributedController::submit(const RequestSpec& spec, Callback done) {
       done(Result{Outcome::kMoot});
       return;
     }
-    const NodeId arrival = spec.type == RequestSpec::Type::kAddInternal
-                               ? tree_.parent(spec.subject)
-                               : spec.subject;
+    const NodeId arrival = arrival_node(tree_, spec);
     const AgentId id = ids_.next();
     Agent& a = agents_.create(id);
     a.id = id;

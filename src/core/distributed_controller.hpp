@@ -50,15 +50,26 @@
 #include "obs/span.hpp"
 #include "sim/crash.hpp"
 #include "sim/network.hpp"
+#include "sim/watchdog.hpp"
 #include "tree/dynamic_tree.hpp"
-
-namespace dyncon::sim {
-class Watchdog;
-}  // namespace dyncon::sim
 
 namespace dyncon::core {
 
-class DistributedController : public sim::CrashListener {
+/// What every asynchronous controller checks and arms at its submit
+/// boundary: a completion callback, a valid request, and a watchdog token
+/// that the verdict disarms.
+inline void admit_request(const tree::DynamicTree& tree,
+                          const RequestSpec& spec, sim::Watchdog* watchdog,
+                          Callback& done) {
+  DYNCON_REQUIRE(static_cast<bool>(done), "null completion callback");
+  require_valid_request(tree, spec);
+  sim::Watchdog::guard(watchdog, spec.subject, request_type_name(spec.type),
+                       done);
+}
+
+class DistributedController
+    : public sim::CrashListener,
+      public SubmitShorthands<DistributedController> {
  public:
   enum class Mode : std::uint8_t { kRejectWave, kExhaustSignal };
 
@@ -100,6 +111,12 @@ class DistributedController : public sim::CrashListener {
     /// is restored on restart; the outage is bridged by the reliable
     /// channel and no agent dies.
     agent::Durability durability = agent::Durability::kVolatile;
+    /// Volatile whiteboards only: how many times a crash-failed request is
+    /// resubmitted before its rejection is surfaced.  Read by the wrappers
+    /// that resubmit (this controller delivers the crash-failed verdict);
+    /// the watchdog token they arm stays armed across redrives, so a
+    /// request can never ping-pong forever unnoticed.
+    std::uint32_t crash_redrives = 2;
     /// kDurable only: charge each journal write's measured bits as metered
     /// application traffic (the §2.2 accounting), so persistence cost
     /// shows up in NetStats.  Off by default: charging changes the per-kind
@@ -116,11 +133,7 @@ class DistributedController : public sim::CrashListener {
     std::uint64_t max_chain = 0;  ///< longest inline resume chain
   };
 
-  /// Completion callback.  Deliberately std::function, not the hot-path
-  /// InlineFn: it is stored once per *request* (not per event/send), and
-  /// callers legitimately capture big closures (test fixtures, latching
-  /// lambdas) that must not be squeezed into a 64-byte inline budget.
-  using Callback = std::function<void(const Result&)>;
+  using Callback = core::Callback;
 
   DistributedController(sim::Network& net, tree::DynamicTree& tree,
                         Params params, Options options);
@@ -157,10 +170,6 @@ class DistributedController : public sim::CrashListener {
 
   // ---- request submission (asynchronous) -----------------------------------
 
-  void submit_event(NodeId u, Callback done);
-  void submit_add_leaf(NodeId parent, Callback done);
-  void submit_add_internal_above(NodeId child, Callback done);
-  void submit_remove(NodeId v, Callback done);
   void submit(const RequestSpec& spec, Callback done);
 
   // ---- introspection ---------------------------------------------------------
@@ -365,6 +374,11 @@ class DistributedController : public sim::CrashListener {
   /// instead of tripping the unknown-agent invariant.
   std::unordered_set<agent::AgentId> dead_ids_;
   std::unique_ptr<agent::DurableStore> durable_;
+  /// The orphan-lock release wave as a watchdog death probe, installed
+  /// when this controller runs standalone with a watchdog and a crash
+  /// adversary (wrapped instances get no watchdog: the wrapper arms and
+  /// probes over the whole stack).
+  sim::Watchdog::ProbeScope death_probe_;
 
   std::uint64_t storage_;
   Interval storage_serials_;

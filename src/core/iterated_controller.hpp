@@ -1,100 +1,4 @@
 #pragma once
 
-// The iterated (M,W)-controller of Observation 3.4.
-//
-// To reach move complexity O(U log^2 U log(M/(W+1))), the base controller is
-// run in iterations: iteration i uses parameters (M_i, M_i/2); when it first
-// wishes to reject, the wrapper counts the L unused permits left in packages
-// and storage, clears the data structure, and starts iteration i+1 with
-// M_{i+1} = L.  Liveness of each iteration guarantees L <= M_i/2, so after
-// O(log(M/(W+1))) iterations the leftover is within a constant factor of W
-// and a final (M_i, W) iteration finishes the job.
-//
-// W = 0 (grant *exactly* M permits) follows the paper: run the (M,1)
-// pipeline; if it ends one permit short, the trivial (1,0)-controller —
-// a direct root-to-requester delivery — grants the last permit.
-//
-// In Mode::kExhaustSignal the wrapper reports kExhausted instead of starting
-// a reject wave, which is what the terminating transform (Obs. 2.1) and the
-// adaptive controller (Thm. 3.5) build on.
-
-#include <cstdint>
-#include <memory>
-
-#include "core/centralized_controller.hpp"
-#include "core/controller_iface.hpp"
-
-namespace dyncon::core {
-
-class IteratedController final : public IController {
- public:
-  using Mode = CentralizedController::Mode;
-
-  struct Options {
-    Mode mode = Mode::kRejectWave;
-    bool track_domains = true;
-    /// Serial tracking is only supported when the first iteration is final
-    /// (M <= 4*max(W,1)), which covers every application in §5.
-    Interval serials;
-    /// Forwarded to every base-controller iteration (§5.3).
-    std::function<void(NodeId, std::uint64_t)> on_pass_down;
-  };
-
-  IteratedController(tree::DynamicTree& tree, std::uint64_t M, std::uint64_t W,
-                     std::uint64_t U, Options options);
-  IteratedController(tree::DynamicTree& tree, std::uint64_t M, std::uint64_t W,
-                     std::uint64_t U)
-      : IteratedController(tree, M, W, U, Options{}) {}
-
-  Result request_event(NodeId u) override;
-  Result request_add_leaf(NodeId parent) override;
-  Result request_add_internal_above(NodeId child) override;
-  Result request_remove(NodeId v) override;
-
-  [[nodiscard]] std::uint64_t cost() const override;
-  [[nodiscard]] std::uint64_t permits_granted() const override;
-
-  [[nodiscard]] std::uint64_t M() const { return m_; }
-  [[nodiscard]] std::uint64_t W() const { return w_; }
-  [[nodiscard]] std::uint64_t iterations() const { return iterations_; }
-  /// True once every future request will be rejected (the pipeline is
-  /// spent, or the final iteration has started its reject wave).
-  [[nodiscard]] bool done() const {
-    return done_ || phase_ == Phase::kDone ||
-           (inner_ && inner_->reject_wave_started());
-  }
-  [[nodiscard]] std::uint64_t rejects_delivered() const { return rejects_; }
-
-  /// Unused permits across the pipeline (root storage + packages).
-  [[nodiscard]] std::uint64_t unused_permits() const;
-
-  /// The active base controller (null once done), for audits.
-  [[nodiscard]] const CentralizedController* inner() const {
-    return inner_.get();
-  }
-
- private:
-  enum class Phase : std::uint8_t { kIterating, kFinal, kTrivial, kDone };
-
-  template <typename Fn>
-  Result dispatch(Fn&& submit, NodeId request_node);
-  void start_iteration(std::uint64_t Mi);
-  void advance();
-  Result finish_rejecting();
-
-  tree::DynamicTree& tree_;
-  std::uint64_t m_, w_, u_;
-  Options options_;
-
-  std::unique_ptr<CentralizedController> inner_;
-  Phase phase_ = Phase::kIterating;
-  std::uint64_t iterations_ = 0;
-  std::uint64_t trivial_storage_ = 0;  ///< W = 0 tail permits
-  bool done_ = false;
-  bool wave_charged_ = false;
-  std::uint64_t cost_base_ = 0;     ///< cost of retired iterations
-  std::uint64_t granted_base_ = 0;  ///< grants of retired iterations
-  std::uint64_t rejects_ = 0;
-};
-
-}  // namespace dyncon::core
+// Observation 3.4 / Observation 2.1 / Theorem 4.7 live in one module.
+#include "core/iterated.hpp"  // IWYU pragma: export

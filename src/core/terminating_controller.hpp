@@ -1,65 +1,4 @@
 #pragma once
 
-// The terminating (M,W)-controller transform of Observation 2.1.
-//
-// A terminating controller never delivers rejects.  Instead, when the
-// underlying (M,W)-controller would reject, the protocol *terminates*:
-// it performs one broadcast-and-upcast over the tree (verifying that all
-// granted events have occurred — instantaneous in the centralized setting),
-// and from then on grants nothing.  At termination the number of granted
-// permits m satisfies M - W <= m <= M.
-//
-// This is the building block the paper composes everything from: the
-// adaptive controller's iterations (Thm. 3.5), size estimation (§5.1) and
-// name assignment (§5.2) all run terminating controllers.
-
-#include <cstdint>
-#include <memory>
-
-#include "core/iterated_controller.hpp"
-
-namespace dyncon::core {
-
-class TerminatingController final : public IController {
- public:
-  struct Options {
-    bool track_domains = true;
-    Interval serials;
-    /// Forwarded to the base controller (§5.3).
-    std::function<void(NodeId, std::uint64_t)> on_pass_down;
-  };
-
-  TerminatingController(tree::DynamicTree& tree, std::uint64_t M,
-                        std::uint64_t W, std::uint64_t U, Options options);
-  TerminatingController(tree::DynamicTree& tree, std::uint64_t M,
-                        std::uint64_t W, std::uint64_t U)
-      : TerminatingController(tree, M, W, U, Options{}) {}
-
-  Result request_event(NodeId u) override;
-  Result request_add_leaf(NodeId parent) override;
-  Result request_add_internal_above(NodeId child) override;
-  Result request_remove(NodeId v) override;
-
-  [[nodiscard]] std::uint64_t cost() const override;
-  [[nodiscard]] std::uint64_t permits_granted() const override;
-
-  [[nodiscard]] bool terminated() const { return terminated_; }
-
-  /// Force termination now (used by wrappers that rotate iterations on a
-  /// schedule of their own, e.g. the adaptive controller's Z_i counter).
-  /// Charges the terminating broadcast/upcast and freezes the controller.
-  void terminate_now();
-
-  [[nodiscard]] const IteratedController& inner() const { return *inner_; }
-
- private:
-  template <typename Fn>
-  Result guard(Fn&& submit);
-
-  tree::DynamicTree& tree_;
-  std::unique_ptr<IteratedController> inner_;
-  bool terminated_ = false;
-  std::uint64_t control_cost_ = 0;
-};
-
-}  // namespace dyncon::core
+// Observation 3.4 / Observation 2.1 / Theorem 4.7 live in one module.
+#include "core/iterated.hpp"  // IWYU pragma: export

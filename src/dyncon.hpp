@@ -28,11 +28,9 @@
 #include "core/domain.hpp"                  // §3.2 domain invariants
 #include "core/controller_iface.hpp"        // Outcome/Result/RequestSpec
 #include "core/centralized_controller.hpp"  // GrantOrReject + Proc
-#include "core/iterated_controller.hpp"     // Obs. 3.4
-#include "core/terminating_controller.hpp"  // Obs. 2.1
-#include "core/adaptive_controller.hpp"     // Thm. 3.5 (unknown U)
 #include "core/distributed_controller.hpp"  // §4 agents + locks
-#include "core/distributed_iterated.hpp"    // Thm. 4.7 / Obs. 2.1
+#include "core/iterated.hpp"                // Obs. 3.4 / Obs. 2.1 / Thm. 4.7
+#include "core/adaptive_controller.hpp"     // Thm. 3.5 (unknown U)
 #include "core/distributed_adaptive.hpp"    // Thm. 4.9 / App. A
 #include "core/message_meter.hpp"           // §2.2 metered protocols
 #include "core/aaps_controller.hpp"         // the [4] baseline

@@ -89,6 +89,16 @@ void Watchdog::remove_death_probe(const void* owner) {
   }
 }
 
+Watchdog::ProbeScope::ProbeScope(Watchdog* wd, const void* owner,
+                                 DeathProbe probe)
+    : wd_(wd), owner_(owner) {
+  if (wd_ != nullptr) wd_->add_death_probe(owner_, std::move(probe));
+}
+
+Watchdog::ProbeScope::~ProbeScope() {
+  if (wd_ != nullptr) wd_->remove_death_probe(owner_);
+}
+
 bool Watchdog::run_probes() {
   bool hopeful = false;
   for (auto& p : probes_) {

@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -89,6 +90,35 @@ class Watchdog {
   /// pattern as Network::set_link_check); probes run in install order.
   void add_death_probe(const void* owner, DeathProbe probe);
   void remove_death_probe(const void* owner);
+
+  /// Arm a token for one request and wrap `done` in place so that its
+  /// verdict disarms the token first — the one place every controller that
+  /// takes a watchdog arms.  Pass a static `what` (request_type_name) so
+  /// arming stays allocation-free.  A null watchdog leaves `done` as is.
+  template <typename Callback>
+  static void guard(Watchdog* wd, NodeId origin, const char* what,
+                    Callback& done) {
+    if (wd == nullptr) return;
+    const Token token = wd->arm(origin, what);
+    done = [wd, token, done = std::move(done)](const auto& verdict) {
+      wd->disarm(token);
+      done(verdict);
+    };
+  }
+
+  /// A death probe installed for the lifetime of its owner (keyed by
+  /// `owner`); inert when constructed with a null watchdog.
+  class ProbeScope {
+   public:
+    ProbeScope(Watchdog* wd, const void* owner, DeathProbe probe);
+    ~ProbeScope();
+    ProbeScope(const ProbeScope&) = delete;
+    ProbeScope& operator=(const ProbeScope&) = delete;
+
+   private:
+    Watchdog* wd_;
+    const void* owner_;
+  };
 
   /// Run every death probe once, outside any deadline (the drain-time
   /// recovery path: queue.run(); while (run_recovery_sweep()) queue.run();

@@ -47,20 +47,6 @@ RequestSpec propose(tree::DynamicTree& tree, ChurnGenerator& churn,
   return churn.next(tree);
 }
 
-Result submit_sync(core::IController& ctrl, const RequestSpec& spec) {
-  switch (spec.type) {
-    case RequestSpec::Type::kEvent:
-      return ctrl.request_event(spec.subject);
-    case RequestSpec::Type::kAddLeaf:
-      return ctrl.request_add_leaf(spec.subject);
-    case RequestSpec::Type::kAddInternal:
-      return ctrl.request_add_internal_above(spec.subject);
-    case RequestSpec::Type::kRemove:
-      return ctrl.request_remove(spec.subject);
-  }
-  return Result{};
-}
-
 }  // namespace
 
 ScenarioStats run_churn(core::IController& ctrl, tree::DynamicTree& tree,
@@ -68,7 +54,7 @@ ScenarioStats run_churn(core::IController& ctrl, tree::DynamicTree& tree,
                         double event_fraction, Rng& rng) {
   ScenarioStats stats;
   for (std::uint64_t i = 0; i < steps; ++i) {
-    stats.count(submit_sync(ctrl, propose(tree, churn, event_fraction, rng)));
+    stats.count(ctrl.request(propose(tree, churn, event_fraction, rng)));
   }
   return stats;
 }

@@ -114,21 +114,7 @@ ReplayStats replay(const Script& script, core::IController& ctrl,
       continue;
     }
     ++stats.submitted;
-    core::Result r;
-    switch (spec.type) {
-      case RequestSpec::Type::kEvent:
-        r = ctrl.request_event(spec.subject);
-        break;
-      case RequestSpec::Type::kAddLeaf:
-        r = ctrl.request_add_leaf(spec.subject);
-        break;
-      case RequestSpec::Type::kAddInternal:
-        r = ctrl.request_add_internal_above(spec.subject);
-        break;
-      case RequestSpec::Type::kRemove:
-        r = ctrl.request_remove(spec.subject);
-        break;
-    }
+    const core::Result r = ctrl.request(spec);
     switch (r.outcome) {
       case Outcome::kGranted:
         ++stats.granted;

@@ -7,7 +7,10 @@
 
 #include "core/distributed_adaptive.hpp"
 #include "core/distributed_iterated.hpp"
+#include "core/iterated_controller.hpp"
+#include "core/terminating_controller.hpp"
 #include "tree/validate.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "workload/shapes.hpp"
 
@@ -209,6 +212,169 @@ TEST(DistAdaptive, MixedChurnConcurrent) {
     ASSERT_TRUE(tree::validate(s.tree).ok()) << "burst " << burst;
   }
   EXPECT_EQ(answered, 180);
+}
+
+// ---- submission contract: the root is never deleted nor given a parent ----
+
+/// Every request shape that names the root illegally must be refused at
+/// submit time, before an agent could compute the root's (absent) parent as
+/// its arrival node, and must leave the tree and the event loop untouched.
+template <typename Ctrl>
+void expect_root_requests_refused(Sim& s, Ctrl& ctrl) {
+  const NodeId root = s.tree.root();
+  const std::uint64_t size = s.tree.size();
+  const auto ignore = [](const Result&) {};
+  EXPECT_THROW(ctrl.submit_add_internal_above(root, ignore), ContractError);
+  EXPECT_THROW(ctrl.submit_remove(root, ignore), ContractError);
+  EXPECT_THROW(ctrl.submit(RequestSpec{RequestSpec::Type::kAddInternal, root},
+                           ignore),
+               ContractError);
+  EXPECT_THROW(
+      ctrl.submit(RequestSpec{RequestSpec::Type::kRemove, root}, ignore),
+      ContractError);
+  s.queue.run();
+  EXPECT_EQ(s.tree.size(), size);
+  EXPECT_TRUE(tree::validate(s.tree).ok());
+  // The controller still serves legal requests afterwards.
+  EXPECT_TRUE(
+      sync_submit(s, ctrl, RequestSpec{RequestSpec::Type::kAddLeaf, root})
+          .granted());
+}
+
+TEST(RootRequests, DistributedControllerRefusesAtSubmit) {
+  Rng rng(21);
+  Sim s;
+  workload::build(s.tree, workload::Shape::kRandomAttach, 8, rng);
+  DistributedController ctrl(s.net, s.tree, Params(16, 4, 32));
+  expect_root_requests_refused(s, ctrl);
+}
+
+TEST(RootRequests, DistributedIteratedRefusesAtSubmit) {
+  Rng rng(22);
+  Sim s;
+  workload::build(s.tree, workload::Shape::kRandomAttach, 8, rng);
+  DistributedIterated ctrl(s.net, s.tree, 16, 4, 32);
+  expect_root_requests_refused(s, ctrl);
+}
+
+TEST(RootRequests, DistributedTerminatingRefusesAtSubmit) {
+  Rng rng(23);
+  Sim s;
+  workload::build(s.tree, workload::Shape::kRandomAttach, 8, rng);
+  DistributedTerminating ctrl(s.net, s.tree, 16, 4, 32);
+  expect_root_requests_refused(s, ctrl);
+}
+
+TEST(RootRequests, DistributedAdaptiveRefusesAtSubmit) {
+  Rng rng(24);
+  Sim s;
+  workload::build(s.tree, workload::Shape::kRandomAttach, 8, rng);
+  DistributedAdaptive ctrl(s.net, s.tree, 16, 4);
+  expect_root_requests_refused(s, ctrl);
+}
+
+// ---- wrapper options: base fields that are not wrapper knobs ----------------
+
+/// A terminating controller never rejects, so it takes no `mode`.
+TEST(WrapperOptions, TerminatingRefusesMode) {
+  Sim s;
+  s.tree.add_leaf(s.tree.root());
+  DistributedTerminating::Options dopts;
+  dopts.mode = DistributedController::Mode::kExhaustSignal;
+  EXPECT_THROW(DistributedTerminating(s.net, s.tree, 16, 4, 32, dopts),
+               ContractError);
+  TerminatingController::Options copts;
+  copts.mode = CentralizedController::Mode::kExhaustSignal;
+  EXPECT_THROW(TerminatingController(s.tree, 16, 4, 32, copts),
+               ContractError);
+}
+
+/// `debug_trace` is a per-instance DistributedController knob.
+TEST(WrapperOptions, DistributedWrappersRefuseDebugTrace) {
+  Sim s;
+  s.tree.add_leaf(s.tree.root());
+  DistributedIterated::Options opts;
+  opts.debug_trace = true;
+  EXPECT_THROW(DistributedIterated(s.net, s.tree, 16, 4, 32, opts),
+               ContractError);
+  EXPECT_THROW(DistributedTerminating(s.net, s.tree, 16, 4, 32, opts),
+               ContractError);
+}
+
+/// App. A's two instances share the wrapper's options, so a serial interval
+/// or a pass-down hook would reach the counting sidecar too; the wrapper
+/// refuses every base field it does not support.
+TEST(WrapperOptions, AdaptiveRefusesUnsupportedBaseFields) {
+  Sim s;
+  s.tree.add_leaf(s.tree.root());
+  const auto refused = [&s](auto set) {
+    DistributedAdaptive::Options opts;
+    set(opts);
+    EXPECT_THROW(DistributedAdaptive(s.net, s.tree, 16, 4, opts),
+                 ContractError);
+  };
+  using Opts = DistributedAdaptive::Options;
+  refused([](Opts& o) {
+    o.mode = DistributedController::Mode::kExhaustSignal;
+  });
+  refused([](Opts& o) { o.apply_events = false; });
+  refused([](Opts& o) { o.serials = Interval(1, 16); });
+  refused([](Opts& o) { o.on_pass_down = [](NodeId, std::uint64_t) {}; });
+  refused([](Opts& o) { o.debug_trace = true; });
+  EXPECT_EQ(s.net.stats().messages, 0u);
+}
+
+// ---- Lemma 4.5 at the wrapper level ------------------------------------------
+
+/// With requests issued one at a time, the distributed pipeline makes
+/// exactly the centralized pipeline's decisions: the same verdict and the
+/// same new node for every request, across every rotation and the W = 0
+/// trivial tail, and the same iteration count at the end.
+void expect_wrappers_agree(std::uint64_t M, std::uint64_t W,
+                           std::uint64_t iterations) {
+  constexpr std::uint64_t kNodes = 200, kU = 256, kMaxAdds = 50;
+  Rng build_a(31), build_b(31);
+  Sim s;
+  workload::build(s.tree, workload::Shape::kPath, kNodes, build_a);
+  DynamicTree mirror;
+  workload::build(mirror, workload::Shape::kPath, kNodes, build_b);
+  DistributedIterated dist(s.net, s.tree, M, W, kU);
+  IteratedController cent(mirror, M, W, kU);
+
+  Rng pick(32);
+  std::uint64_t adds = 0;
+  for (std::uint64_t i = 0; i < M + 16; ++i) {
+    const auto nodes = mirror.alive_nodes();
+    const NodeId u = nodes[pick.index(nodes.size())];
+    const bool add = adds < kMaxAdds && pick.chance(0.01);
+    Result rc, rd;
+    if (add) {
+      rc = cent.request_add_leaf(u);
+      rd = sync_submit(s, dist, RequestSpec{RequestSpec::Type::kAddLeaf, u});
+      adds += rc.granted();
+    } else {
+      rc = cent.request_event(u);
+      rd = sync_submit(s, dist, RequestSpec{RequestSpec::Type::kEvent, u});
+    }
+    ASSERT_EQ(rd.outcome, rc.outcome) << "diverged at request " << i;
+    ASSERT_EQ(rd.new_node, rc.new_node) << "diverged at request " << i;
+  }
+  EXPECT_EQ(dist.iterations(), cent.iterations());
+  EXPECT_EQ(dist.permits_granted(), cent.permits_granted());
+  EXPECT_EQ(cent.iterations(), iterations);
+  EXPECT_EQ(s.tree.size(), mirror.size());
+}
+
+TEST(WrapperReduction, IteratedMatchesCentralizedAcrossRotations) {
+  expect_wrappers_agree(/*M=*/1u << 14, /*W=*/1, /*iterations=*/3);
+}
+
+TEST(WrapperReduction, IteratedMatchesCentralizedThroughTrivialTail) {
+  expect_wrappers_agree(/*M=*/4096, /*W=*/0, /*iterations=*/2);
+}
+
+TEST(WrapperReduction, IteratedMatchesCentralizedSmallBudget) {
+  expect_wrappers_agree(/*M=*/4096, /*W=*/1, /*iterations=*/2);
 }
 
 }  // namespace
